@@ -1009,7 +1009,7 @@ int main(int argc, char** argv) {
       so.search.k = opt->k;
       so.search.beam = opt->beam;
       so.search.seed = opt->seed;
-      so.rerank_depth = opt->rerank_depth;
+      so.search.rerank_depth = opt->rerank_depth;
       so.optimize = opt->optimize_serve;
       so.patience = opt->patience;
       so.visit_budget = opt->visit_budget;

@@ -11,7 +11,7 @@
 #include "simt/launch.hpp"
 #include "simt/warp_distance.hpp"
 
-// Software prefetch for the serving path's frontier pipeline: a hint, never
+// Software prefetch for the layout adapter's frontier pipeline: a hint, never
 // a semantic — compilers without the builtin just skip it.
 #if defined(__GNUC__) || defined(__clang__)
 #define WKNNG_PREFETCH(addr) __builtin_prefetch((addr), 0, 1)
@@ -32,6 +32,273 @@ namespace {
 /// small enough that a slot's storage stays cache-resident.
 std::size_t frontier_capacity(const SearchParams& params) {
   return std::max<std::size_t>(2 * (params.beam + kWarpSize), 128);
+}
+
+/// Adjacency adapter over the raw builder graph: fixed-width KnnGraph rows
+/// cut at kInvalid, ids are the caller's ids throughout, and no prefetch
+/// hints (source order gives them nothing to stream).
+struct RawAdjacency {
+  static constexpr const char* kTraceLabel = "graph_search";
+  const FloatMatrix& base;
+  const KnnGraph& graph;
+
+  std::size_t n() const { return base.rows(); }
+  std::span<const float> norms(SearchScratch& scr) const {
+    return scr.base_norms(base);
+  }
+  std::uint32_t entry(std::uint32_t id) const { return id; }
+
+  /// Calls `f` on every neighbor of `id`; returns the row bytes read.
+  template <class F>
+  std::size_t for_each_neighbor(std::uint32_t id, F&& f) const {
+    for (const Neighbor& nb : graph.row(id)) {
+      if (nb.id == KnnGraph::kInvalid) break;
+      f(nb.id);
+    }
+    return graph.k() * sizeof(Neighbor);
+  }
+
+  void prefetch_row(std::uint32_t) const {}
+  void prefetch_tile(const std::vector<std::uint32_t>&, std::size_t) const {}
+  void emit(std::vector<Neighbor>&) const {}
+};
+
+/// Adjacency adapter over an optimized serving layout: CSR rows in BFS
+/// order over base rows gathered to match. Entries are drawn in the source
+/// id space and mapped in through `old_to_new`; results are mapped back
+/// through `new_to_old`. It prefetches the frontier head's row and the next
+/// tile's base rows, which pays off because the BFS order makes the rows a
+/// descent walks near-adjacent.
+struct LayoutAdjacency {
+  static constexpr const char* kTraceLabel = "serving_search";
+  const opt::ServingGraph& sg;
+  const FloatMatrix& base = sg.base;
+
+  std::size_t n() const { return sg.n(); }
+  // The layout carries its own norm cache, gathered into the permuted order
+  // at build time (empty when built in strict mode — the scalar backend
+  // ignores caches either way, per the kernels contract).
+  std::span<const float> norms(SearchScratch&) const { return sg.norms; }
+  std::uint32_t entry(std::uint32_t old_id) const {
+    return sg.old_to_new[old_id];
+  }
+
+  template <class F>
+  std::size_t for_each_neighbor(std::uint32_t id, F&& f) const {
+    const auto row = sg.row(id);
+    for (const std::uint32_t nb : row) f(nb);
+    return row.size() * sizeof(std::uint32_t);
+  }
+
+  void prefetch_row(std::uint32_t id) const {
+    WKNNG_PREFETCH(sg.neighbors.data() + sg.offsets[id]);
+  }
+  void prefetch_tile(const std::vector<std::uint32_t>& ids,
+                     std::size_t t0) const {
+    const std::size_t end = std::min(ids.size(), t0 + kWarpSize);
+    for (std::size_t i = t0; i < end; ++i) {
+      const float* r = base.row(ids[i]).data();
+      for (std::size_t d = 0; d < sg.dim; d += 16) WKNNG_PREFETCH(r + d);
+    }
+  }
+
+  /// Back to the caller's id space. The remap can reorder equal-distance
+  /// ties, so re-establish the row invariant (sorted by (dist, id)).
+  void emit(std::vector<Neighbor>& found) const {
+    for (Neighbor& nb : found) nb.id = sg.new_to_old[nb.id];
+    std::sort(found.begin(), found.end());
+  }
+};
+
+/// The warp-per-query beam search behind every entry point: scored entry
+/// sample, FrontierHeap descent with patience and visit budget, optional sq8
+/// descent with exact rerank, exclusion mask, top-k emission. `adj` decides
+/// how rows are read and ids mapped; inputs are validated by the caller.
+template <class Adjacency>
+BatchSearchResult search_kernel(ThreadPool& pool, const Adjacency& adj,
+                                const FloatMatrix& queries,
+                                std::span<const std::uint64_t> tags,
+                                const SearchParams& params,
+                                std::span<const std::uint8_t> exclude,
+                                const kernels::Sq8View* sq8,
+                                SearchScratch* scratch,
+                                simt::StatsAccumulator* acc) {
+  const std::size_t n = adj.n();
+  const std::size_t nq = queries.rows();
+  const FloatMatrix& base = adj.base;
+
+  BatchSearchResult out;
+  out.results = KnnGraph(nq, params.k);
+  out.visits.assign(nq, 0);
+  out.capped.assign(nq, 0);
+  if (nq == 0 || n == 0) return out;  // nothing to search; no launch
+
+  // Degenerate-parameter clamps (see header): results never exceed the base,
+  // and the entry heap never outgrows the sample feeding it. entry_sample is
+  // known positive — admission validation rejected zero.
+  const bool use_sq8 = sq8 != nullptr && sq8->valid();
+  const std::size_t k_eff = std::min(params.k, n);
+  const std::size_t entry_keep = std::max<std::size_t>(
+      1, std::min(params.entry_keep, params.entry_sample));
+  // Compressed path: how many sq8-ranked survivors get the exact rescore.
+  // Zero on the uncompressed path, so the result-heap size is untouched.
+  const std::size_t rr_eff =
+      use_sq8 ? std::min(effective_rerank_depth(k_eff, params.rerank_depth), n)
+              : 0;
+  const std::size_t frontier_cap = frontier_capacity(params);
+
+  SearchScratch local_scratch;
+  SearchScratch& scr = scratch != nullptr ? *scratch : local_scratch;
+  const std::span<const float> base_norms = adj.norms(scr);
+
+  simt::LaunchConfig search_config;
+  search_config.trace_label = Adjacency::kTraceLabel;
+  simt::launch_warps(pool, nq, search_config, acc, [&](Warp& w) {
+    const std::size_t qi = w.id();
+    const std::uint64_t tag = tags.empty() ? qi : tags[qi];
+    const auto query = queries.row(qi);
+    Rng rng(params.seed, 0x5EA5C000ULL + tag);
+
+    SearchScratch::Slot& slot = scr.local();
+    slot.begin(n);
+    // Tombstone check: one byte load on candidate admission; an empty mask
+    // compiles down to the constant-false branch.
+    const bool has_exclude = !exclude.empty();
+    auto is_excluded = [&](std::uint32_t id) {
+      return has_exclude && exclude[id] != 0;
+    };
+    std::uint64_t visits = 0;
+    bool capped = false;
+    FrontierHeap frontier(slot.frontier, frontier_cap);
+    // The compressed path widens the result heap to the rerank depth so the
+    // exact rescore has a pool to re-order (rr_eff is 0 otherwise).
+    TopK best(std::max(std::max(k_eff, params.beam), rr_eff));
+
+    // Compressed path: prepare the query once per warp (one fp32 row read);
+    // every candidate after this streams 1 byte/dim of code data.
+    kernels::Sq8Query sq8_q;
+    if (use_sq8) {
+      sq8_q = simt::warp_sq8_prepare(w, query, sq8->codebook(), slot.qprep);
+    }
+
+    // Scores ids[t0, t0 + kWarpSize) as one warp-tile of candidates.
+    auto score_tile = [&](const std::vector<std::uint32_t>& ids,
+                          std::size_t t0, Lanes<std::uint32_t>& lane_ids) {
+      const std::size_t cnt = std::min<std::size_t>(kWarpSize, ids.size() - t0);
+      Lanes<bool> active{};
+      for (std::size_t l = 0; l < cnt; ++l) {
+        lane_ids[l] = ids[t0 + l];
+        active[l] = true;
+      }
+      return use_sq8 ? simt::warp_sq8_l2_batch(
+                           w, sq8_q, lane_ids, active,
+                           [&](std::uint32_t p) { return sq8->row(p); },
+                           sq8->terms)
+                     : simt::warp_l2_batch(
+                           w, query, lane_ids, active,
+                           [&](std::uint32_t p) { return base.row(p); },
+                           base_norms);
+    };
+
+    // Entry scoring: a random sample drawn in the caller's id space, scored
+    // in candidate-parallel tiles.
+    std::vector<std::uint32_t>& sample = slot.sample;
+    sample.clear();
+    for (std::size_t e = 0; e < params.entry_sample && sample.size() < n; ++e) {
+      const std::uint32_t id =
+          adj.entry(static_cast<std::uint32_t>(rng.next_below(n)));
+      if (slot.test_and_set(id)) continue;
+      sample.push_back(id);
+    }
+    TopK entries(entry_keep);
+    for (std::size_t t0 = 0; t0 < sample.size(); t0 += kWarpSize) {
+      Lanes<std::uint32_t> lane_ids{};
+      const Lanes<float> d = score_tile(sample, t0, lane_ids);
+      const std::size_t cnt =
+          std::min<std::size_t>(kWarpSize, sample.size() - t0);
+      for (std::size_t l = 0; l < cnt; ++l) entries.push(d[l], lane_ids[l]);
+    }
+    visits += sample.size();
+    for (const Neighbor& e : entries.take_sorted()) {
+      frontier.push(e, best.worst());  // excluded entries still navigate
+      if (!is_excluded(e.id)) best.push(e.dist, e.id);
+    }
+
+    // Best-first descent over the graph.
+    std::vector<std::uint32_t>& expand = slot.expand;
+    std::size_t stale_hops = 0;  // hops since the result heap last improved
+    while (!frontier.empty()) {
+      const Neighbor cur = frontier.pop();
+      if (cur.dist > best.worst()) break;
+      if (params.visit_budget != 0 && visits >= params.visit_budget) {
+        capped = true;  // the frontier still held a useful candidate
+        break;
+      }
+      // The heap's new head is the likely next expansion.
+      if (!frontier.empty()) adj.prefetch_row(frontier.top().id);
+      expand.clear();
+      w.count_read(adj.for_each_neighbor(cur.id, [&](std::uint32_t nb) {
+        if (!slot.test_and_set(nb)) expand.push_back(nb);
+      }));
+      // While one tile is scored, the next tile's rows are on their way.
+      adj.prefetch_tile(expand, 0);
+      bool improved = false;
+      for (std::size_t t0 = 0; t0 < expand.size(); t0 += kWarpSize) {
+        adj.prefetch_tile(expand, t0 + kWarpSize);
+        Lanes<std::uint32_t> lane_ids{};
+        const Lanes<float> d = score_tile(expand, t0, lane_ids);
+        const std::size_t cnt =
+            std::min<std::size_t>(kWarpSize, expand.size() - t0);
+        for (std::size_t l = 0; l < cnt; ++l) {
+          if (d[l] < best.worst()) {
+            frontier.push({d[l], lane_ids[l]}, best.worst());
+            if (!is_excluded(lane_ids[l])) {
+              best.push(d[l], lane_ids[l]);
+              improved = true;
+            }
+          }
+        }
+        visits += cnt;
+      }
+      if (params.patience != 0) {
+        stale_hops = improved ? 0 : stale_hops + 1;
+        if (stale_hops >= params.patience) break;
+      }
+    }
+
+    auto found = best.take_sorted();
+    if (use_sq8) {
+      // Exact rerank: rescore the top rr_eff sq8-ranked survivors against the
+      // fp32 base rows so the emitted top-k carries exact distances in exact
+      // order. Approximation error only matters below the rerank horizon.
+      if (found.size() > rr_eff) found.resize(rr_eff);
+      TopK exact(k_eff);
+      for (std::size_t t0 = 0; t0 < found.size(); t0 += kWarpSize) {
+        const std::size_t cnt =
+            std::min<std::size_t>(kWarpSize, found.size() - t0);
+        Lanes<std::uint32_t> lane_ids{};
+        Lanes<bool> active{};
+        for (std::size_t l = 0; l < cnt; ++l) {
+          lane_ids[l] = found[t0 + l].id;
+          active[l] = true;
+        }
+        const Lanes<float> d = simt::warp_l2_batch(
+            w, query, lane_ids, active,
+            [&](std::uint32_t p) { return base.row(p); }, base_norms);
+        for (std::size_t l = 0; l < cnt; ++l) exact.push(d[l], lane_ids[l]);
+        visits += cnt;
+      }
+      found = exact.take_sorted();
+    }
+    if (found.size() > k_eff) found.resize(k_eff);
+    adj.emit(found);
+    auto row = out.results.row(qi);
+    std::copy(found.begin(), found.end(), row.begin());
+    out.visits[qi] = visits;  // this warp's slot only: no shared accumulator
+    out.capped[qi] = capped ? 1 : 0;
+  });
+
+  return out;
 }
 
 }  // namespace
@@ -79,8 +346,7 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
                                          << base.rows());
   WKNNG_CHECK(graph.num_points() == base.rows());
   validate_search_params(params);
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  if (use_sq8) {
+  if (sq8 != nullptr && sq8->valid()) {
     WKNNG_CHECK_MSG(sq8->matrix->rows() == base.rows() &&
                         sq8->matrix->dim() == base.cols(),
                     "sq8 codes are " << sq8->matrix->rows() << "x"
@@ -90,185 +356,8 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
   WKNNG_CHECK_MSG(tags.empty() || tags.size() == queries.rows(),
                   "tags size " << tags.size() << " != queries "
                                << queries.rows());
-  const std::size_t n = base.rows();
-  const std::size_t nq = queries.rows();
-
-  BatchSearchResult out;
-  out.results = KnnGraph(nq, params.k);
-  out.visits.assign(nq, 0);
-  out.capped.assign(nq, 0);
-  if (nq == 0 || n == 0) return out;  // nothing to search; no launch
-
-  // Degenerate-parameter clamps (see header): results never exceed the base,
-  // and the entry heap never outgrows the sample feeding it. entry_sample is
-  // known positive — admission validation rejected zero.
-  const std::size_t k_eff = std::min(params.k, n);
-  const std::size_t entry_keep = std::max<std::size_t>(
-      1, std::min(params.entry_keep, params.entry_sample));
-  // Compressed path: how many sq8-ranked survivors get the exact rescore.
-  // Zero on the uncompressed path, so the result-heap size is untouched.
-  const std::size_t rr_eff =
-      use_sq8 ? std::min(effective_rerank_depth(k_eff, params.rerank_depth), n)
-              : 0;
-  const std::size_t frontier_cap = frontier_capacity(params);
-
-  SearchScratch local_scratch;
-  SearchScratch& scr = scratch != nullptr ? *scratch : local_scratch;
-  const std::span<const float> base_norms = scr.base_norms(base);
-
-  simt::LaunchConfig search_config;
-  search_config.trace_label = "graph_search";
-  simt::launch_warps(pool, nq, search_config, acc, [&](Warp& w) {
-    const std::size_t qi = w.id();
-    const std::uint64_t tag = tags.empty() ? qi : tags[qi];
-    const auto query = queries.row(qi);
-    Rng rng(params.seed, 0x5EA5C000ULL + tag);
-
-    SearchScratch::Slot& slot = scr.local();
-    slot.begin(n);
-    // Tombstone check: one byte load on candidate admission; an empty mask
-    // compiles down to the constant-false branch.
-    const bool has_exclude = !exclude.empty();
-    auto is_excluded = [&](std::uint32_t id) {
-      return has_exclude && exclude[id] != 0;
-    };
-    std::uint64_t visits = 0;
-    bool capped = false;
-    FrontierHeap frontier(slot.frontier, frontier_cap);
-    // The compressed path widens the result heap to the rerank depth so the
-    // exact rescore has a pool to re-order (rr_eff is 0 otherwise).
-    TopK best(std::max(std::max(k_eff, params.beam), rr_eff));
-
-    // Compressed path: prepare the query once per warp (one fp32 row read);
-    // every candidate after this streams 1 byte/dim of code data.
-    kernels::Sq8Query sq8_q;
-    if (use_sq8) {
-      sq8_q = simt::warp_sq8_prepare(w, query, sq8->codebook(), slot.qprep);
-    }
-
-    // Entry scoring: warp evaluates the sample in candidate-parallel tiles.
-    auto score_ids = [&](const std::vector<std::uint32_t>& ids,
-                         TopK& sink) {
-      for (std::size_t t0 = 0; t0 < ids.size(); t0 += kWarpSize) {
-        const std::size_t cnt = std::min<std::size_t>(kWarpSize, ids.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = ids[t0 + l];
-          active[l] = true;
-        }
-        const Lanes<float> d =
-            use_sq8 ? simt::warp_sq8_l2_batch(
-                          w, sq8_q, lane_ids, active,
-                          [&](std::uint32_t p) { return sq8->row(p); },
-                          sq8->terms)
-                    : simt::warp_l2_batch(
-                          w, query, lane_ids, active,
-                          [&](std::uint32_t p) { return base.row(p); },
-                          base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) sink.push(d[l], lane_ids[l]);
-      }
-      visits += ids.size();
-    };
-
-    std::vector<std::uint32_t>& sample = slot.sample;
-    sample.clear();
-    for (std::size_t e = 0; e < params.entry_sample && sample.size() < n; ++e) {
-      const auto id = static_cast<std::uint32_t>(rng.next_below(n));
-      if (slot.test_and_set(id)) continue;
-      sample.push_back(id);
-    }
-    TopK entries(entry_keep);
-    score_ids(sample, entries);
-    for (const Neighbor& e : entries.take_sorted()) {
-      frontier.push(e, best.worst());  // excluded entries still navigate
-      if (!is_excluded(e.id)) best.push(e.dist, e.id);
-    }
-
-    // Best-first descent over the graph.
-    std::vector<std::uint32_t>& expand = slot.expand;
-    std::size_t stale_hops = 0;  // hops since the result heap last improved
-    while (!frontier.empty()) {
-      const Neighbor cur = frontier.pop();
-      if (cur.dist > best.worst()) break;
-      if (params.visit_budget != 0 && visits >= params.visit_budget) {
-        capped = true;  // the frontier still held a useful candidate
-        break;
-      }
-      expand.clear();
-      for (const Neighbor& nb : graph.row(cur.id)) {
-        if (nb.id == KnnGraph::kInvalid) break;
-        if (slot.test_and_set(nb.id)) continue;
-        expand.push_back(nb.id);
-      }
-      w.count_read(graph.k() * sizeof(Neighbor));
-      bool improved = false;
-      for (std::size_t t0 = 0; t0 < expand.size(); t0 += kWarpSize) {
-        const std::size_t cnt = std::min<std::size_t>(kWarpSize, expand.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = expand[t0 + l];
-          active[l] = true;
-        }
-        const Lanes<float> d =
-            use_sq8 ? simt::warp_sq8_l2_batch(
-                          w, sq8_q, lane_ids, active,
-                          [&](std::uint32_t p) { return sq8->row(p); },
-                          sq8->terms)
-                    : simt::warp_l2_batch(
-                          w, query, lane_ids, active,
-                          [&](std::uint32_t p) { return base.row(p); },
-                          base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) {
-          if (d[l] < best.worst()) {
-            frontier.push({d[l], lane_ids[l]}, best.worst());
-            if (!is_excluded(lane_ids[l])) {
-              best.push(d[l], lane_ids[l]);
-              improved = true;
-            }
-          }
-        }
-        visits += cnt;
-      }
-      if (params.patience != 0) {
-        stale_hops = improved ? 0 : stale_hops + 1;
-        if (stale_hops >= params.patience) break;
-      }
-    }
-
-    auto found = best.take_sorted();
-    if (use_sq8) {
-      // Exact rerank: rescore the top rr_eff sq8-ranked survivors against the
-      // fp32 base rows so the emitted top-k carries exact distances in exact
-      // order. Approximation error only matters below the rerank horizon.
-      if (found.size() > rr_eff) found.resize(rr_eff);
-      TopK exact(k_eff);
-      for (std::size_t t0 = 0; t0 < found.size(); t0 += kWarpSize) {
-        const std::size_t cnt =
-            std::min<std::size_t>(kWarpSize, found.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = found[t0 + l].id;
-          active[l] = true;
-        }
-        const Lanes<float> d = simt::warp_l2_batch(
-            w, query, lane_ids, active,
-            [&](std::uint32_t p) { return base.row(p); }, base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) exact.push(d[l], lane_ids[l]);
-        visits += cnt;
-      }
-      found = exact.take_sorted();
-    }
-    if (found.size() > k_eff) found.resize(k_eff);
-    auto row = out.results.row(qi);
-    std::copy(found.begin(), found.end(), row.begin());
-    out.visits[qi] = visits;  // this warp's slot only: no shared accumulator
-    out.capped[qi] = capped ? 1 : 0;
-  });
-
-  return out;
+  return search_kernel(pool, RawAdjacency{base, graph}, queries, tags, params,
+                       exclude, sq8, scratch, acc);
 }
 
 BatchSearchResult serving_search_batch(ThreadPool& pool,
@@ -291,166 +380,14 @@ BatchSearchResult serving_search_batch(ThreadPool& pool,
   WKNNG_CHECK_MSG(tags.empty() || tags.size() == queries.rows(),
                   "tags size " << tags.size() << " != queries "
                                << queries.rows());
-  const std::size_t n = sg.n();
-  const std::size_t nq = queries.rows();
-  const std::size_t dim = sg.dim;
-
-  BatchSearchResult out;
-  out.results = KnnGraph(nq, params.k);
-  out.visits.assign(nq, 0);
-  out.capped.assign(nq, 0);
-  if (nq == 0 || n == 0) return out;
-
-  const std::size_t k_eff = std::min(params.k, n);
-  const std::size_t entry_keep = std::max<std::size_t>(
-      1, std::min(params.entry_keep, params.entry_sample));
-  const std::size_t frontier_cap = frontier_capacity(params);
-
-  SearchScratch local_scratch;
-  SearchScratch& scr = scratch != nullptr ? *scratch : local_scratch;
-  // The layout carries its own norm cache, gathered into the permuted order
-  // at build time (empty when built in strict mode — the scalar backend
-  // ignores caches either way, per the kernels contract).
-  const std::span<const float> base_norms(sg.norms);
-
-  simt::LaunchConfig search_config;
-  search_config.trace_label = "serving_search";
-  simt::launch_warps(pool, nq, search_config, acc, [&](Warp& w) {
-    const std::size_t qi = w.id();
-    const std::uint64_t tag = tags.empty() ? qi : tags[qi];
-    const auto query = queries.row(qi);
-    // Same stream derivation as the raw path, and entries are drawn in the
-    // *old* id space below — the permuted layout seeds from the same points.
-    Rng rng(params.seed, 0x5EA5C000ULL + tag);
-
-    SearchScratch::Slot& slot = scr.local();
-    slot.begin(n);
-    // Caller override first (fresh tombstones, already permuted), the
-    // layout's baked mask otherwise.
-    const std::span<const std::uint8_t> excl =
-        !exclude.empty() ? exclude
-                         : std::span<const std::uint8_t>(sg.exclude);
-    const bool has_exclude = !excl.empty();
-    auto is_excluded = [&](std::uint32_t id) {
-      return has_exclude && excl[id] != 0;
-    };
-    std::uint64_t visits = 0;
-    bool capped = false;
-    FrontierHeap frontier(slot.frontier, frontier_cap);
-    TopK best(std::max(k_eff, params.beam));
-
-    auto score_ids = [&](const std::vector<std::uint32_t>& ids, TopK& sink) {
-      for (std::size_t t0 = 0; t0 < ids.size(); t0 += kWarpSize) {
-        const std::size_t cnt =
-            std::min<std::size_t>(kWarpSize, ids.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = ids[t0 + l];
-          active[l] = true;
-        }
-        const Lanes<float> d = simt::warp_l2_batch(
-            w, query, lane_ids, active,
-            [&](std::uint32_t p) { return sg.base.row(p); }, base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) sink.push(d[l], lane_ids[l]);
-      }
-      visits += ids.size();
-    };
-
-    std::vector<std::uint32_t>& sample = slot.sample;
-    sample.clear();
-    for (std::size_t e = 0; e < params.entry_sample && sample.size() < n; ++e) {
-      const auto old_id = static_cast<std::uint32_t>(rng.next_below(n));
-      const std::uint32_t id = sg.old_to_new[old_id];
-      if (slot.test_and_set(id)) continue;
-      sample.push_back(id);
-    }
-    TopK entries(entry_keep);
-    score_ids(sample, entries);
-    for (const Neighbor& e : entries.take_sorted()) {
-      frontier.push(e, best.worst());
-      if (!is_excluded(e.id)) best.push(e.dist, e.id);
-    }
-
-    // Prefetch pipeline: while l2_batch scores one warp-tile of candidates,
-    // the next tile's base rows are already on their way — the BFS layout
-    // makes those rows near-adjacent, so the hints mostly hit the same pages.
-    std::vector<std::uint32_t>& expand = slot.expand;
-    auto prefetch_tile = [&](std::size_t t0) {
-      const std::size_t end = std::min(expand.size(), t0 + kWarpSize);
-      for (std::size_t i = t0; i < end; ++i) {
-        const float* r = sg.base.row(expand[i]).data();
-        for (std::size_t d = 0; d < dim; d += 16) WKNNG_PREFETCH(r + d);
-      }
-    };
-
-    std::size_t stale_hops = 0;
-    while (!frontier.empty()) {
-      const Neighbor cur = frontier.pop();
-      if (cur.dist > best.worst()) break;
-      if (params.visit_budget != 0 && visits >= params.visit_budget) {
-        capped = true;
-        break;
-      }
-      // The heap's new head is the likely next expansion: start its CSR row
-      // toward the cache while this hop streams.
-      if (!frontier.empty()) {
-        WKNNG_PREFETCH(sg.neighbors.data() + sg.offsets[frontier.top().id]);
-      }
-      expand.clear();
-      const auto row = sg.row(cur.id);
-      for (const std::uint32_t nb : row) {
-        if (slot.test_and_set(nb)) continue;
-        expand.push_back(nb);
-      }
-      w.count_read(row.size() * sizeof(std::uint32_t));
-      prefetch_tile(0);
-      bool improved = false;
-      for (std::size_t t0 = 0; t0 < expand.size(); t0 += kWarpSize) {
-        prefetch_tile(t0 + kWarpSize);
-        const std::size_t cnt =
-            std::min<std::size_t>(kWarpSize, expand.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = expand[t0 + l];
-          active[l] = true;
-        }
-        const Lanes<float> d = simt::warp_l2_batch(
-            w, query, lane_ids, active,
-            [&](std::uint32_t p) { return sg.base.row(p); }, base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) {
-          if (d[l] < best.worst()) {
-            frontier.push({d[l], lane_ids[l]}, best.worst());
-            if (!is_excluded(lane_ids[l])) {
-              best.push(d[l], lane_ids[l]);
-              improved = true;
-            }
-          }
-        }
-        visits += cnt;
-      }
-      if (params.patience != 0) {
-        stale_hops = improved ? 0 : stale_hops + 1;
-        if (stale_hops >= params.patience) break;
-      }
-    }
-
-    auto found = best.take_sorted();
-    if (found.size() > k_eff) found.resize(k_eff);
-    // Back to the caller's id space. The remap can reorder equal-distance
-    // ties, so re-establish the row invariant (sorted by (dist, id)).
-    for (Neighbor& nb : found) nb.id = sg.new_to_old[nb.id];
-    std::sort(found.begin(), found.end());
-    auto out_row = out.results.row(qi);
-    std::copy(found.begin(), found.end(), out_row.begin());
-    out.visits[qi] = visits;
-    out.capped[qi] = capped ? 1 : 0;
-  });
-
-  return out;
+  // Caller override first (fresh tombstones, already permuted), the layout's
+  // baked mask otherwise. SQ8 codes are stored in source order, so the
+  // layout is searched uncompressed.
+  const std::span<const std::uint8_t> mask =
+      !exclude.empty() ? exclude : std::span<const std::uint8_t>(sg.exclude);
+  return search_kernel(pool, LayoutAdjacency{sg}, queries, tags, params, mask,
+                       nullptr, scratch, acc);
 }
-
 KnnGraph graph_search(ThreadPool& pool, const FloatMatrix& base,
                       const KnnGraph& graph, const FloatMatrix& queries,
                       const SearchParams& params, SearchStats* stats,

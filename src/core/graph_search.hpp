@@ -215,16 +215,34 @@ struct BatchSearchResult {
   std::vector<std::uint8_t> capped;
 };
 
-/// Batched entry point used by the serving engine: answers every row of
-/// `queries` against `base` using `graph` for navigation, one warp per query.
+/// The two batched search entry points. Both run one warp-per-query beam
+/// search kernel (entry sampling, best-first FrontierHeap descent, patience,
+/// visit budget, exclusion mask, top-k emission); they differ only in the
+/// adjacency adapter the kernel reads rows through:
+///
+///  - `graph_search_batch` searches the raw builder graph: fixed-width
+///    KnnGraph rows cut at kInvalid, ids are the caller's ids throughout,
+///    no prefetch hints.
+///  - `serving_search_batch` searches an optimized layout
+///    (opt::optimize_serving): pruned CSR rows in BFS order over base rows
+///    gathered to match. While one warp-tile of candidates is scored, the
+///    next tile's base rows and the frontier head's CSR row are prefetched,
+///    so the descent streams instead of pointer-chasing. Entry sampling draws
+///    ids in the *pre-permutation* space and maps them through
+///    `sg.old_to_new`, and every emitted neighbor is mapped back through
+///    `sg.new_to_old` — so with pruning disabled and no early termination,
+///    results are externally identical to graph_search_batch over the source
+///    graph (tie-breaks between equal-distance points are the only possible
+///    difference).
 ///
 /// `tags[i]` seeds query i's RNG stream (entry sampling). Results are a pure
-/// function of (base, graph, params, query vector, tag) — independent of how
-/// requests were batched together, which worker ran them, or what else was in
-/// the batch. This is the determinism contract `serve::ServeEngine` relies
-/// on: it tags each request once at admission, so replays and re-batched runs
-/// return bit-identical neighbors. An empty `tags` span means "use the row
-/// index", which reproduces the classic `graph_search` behavior.
+/// function of (base, graph or layout, params, query vector, tag) —
+/// independent of how requests were batched together, which worker ran them,
+/// or what else was in the batch. This is the determinism contract
+/// `serve::ServeEngine` relies on: it tags each request once at admission, so
+/// replays and re-batched runs return bit-identical neighbors. An empty
+/// `tags` span means "use the row index", which reproduces the classic
+/// `graph_search` behavior.
 ///
 /// Degenerate inputs are clamped, never UB:
 ///  - zero queries → an empty result, no kernel launch
@@ -232,21 +250,30 @@ struct BatchSearchResult {
 ///  - `entry_keep > entry_sample` → keep clamped to the sample size
 ///  - `entry_sample` larger than the base → sampling stops at n points
 ///
+/// `params.patience` / `params.visit_budget` behave identically on both.
 /// `scratch` may be null (a private arena is used for the call).
 ///
-/// `sq8`, when valid, is the base's compressed tier (kernels::Sq8View over
-/// codes aligned with `base` rows): every candidate distance during entry
-/// scoring and descent streams the u8 code rows asymmetrically, and the top
-/// `params.rerank_depth` survivors are rescored against the fp32 base rows
-/// before the exact top-k is emitted. A null/invalid view leaves the search
-/// bit-identical to the uncompressed path.
+/// `sq8` (raw entry point only), when valid, is the base's compressed tier
+/// (kernels::Sq8View over codes aligned with `base` rows): every candidate
+/// distance during entry scoring and descent streams the u8 code rows
+/// asymmetrically, and the top `params.rerank_depth` survivors are rescored
+/// against the fp32 base rows before the exact top-k is emitted. A
+/// null/invalid view leaves the search bit-identical to the uncompressed
+/// path. The layout entry point takes no view: the codes stay in source
+/// order, so serving falls back to the raw path when a snapshot carries both.
 ///
-/// `exclude`, when non-empty, must have one byte per base point; points with
-/// a non-zero byte (tombstones in the dynamic index) are *never admitted to
-/// the result top-k* (nor to the sq8 exact rerank) but remain navigable:
-/// the descent still walks through them, so a graph whose edges have not yet
-/// been repaired after a delete keeps its connectivity. An empty span is
-/// "no exclusions" and leaves the search bit-identical to before.
+/// `exclude`, when non-empty, has one byte per base point; points with a
+/// non-zero byte (tombstones in the dynamic index) are *never admitted to
+/// the result top-k* (nor to the sq8 exact rerank) but remain navigable: the
+/// descent still walks through them, so a graph whose edges have not yet
+/// been repaired after a delete keeps its connectivity. An empty span is "no
+/// exclusions". On the layout entry point the mask is *in the permuted id
+/// space* and replaces the layout's baked `sg.exclude` — the dynamic index
+/// uses this to serve delete-only publications through a reused layout by
+/// re-permuting the fresh tombstone vector instead of rebuilding the layout;
+/// empty = use `sg.exclude` as built. Baked tombstones are why a layout must
+/// never outlive the snapshot version it was built from — see
+/// opt::ServingGraph::source_version.
 BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
                                      const KnnGraph& graph,
                                      const FloatMatrix& queries,
@@ -257,39 +284,6 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
                                      const kernels::Sq8View* sq8 = nullptr,
                                      std::span<const std::uint8_t> exclude = {});
 
-/// The optimized serve path: answers every query over a pruned,
-/// BFS-reordered CSR layout (opt::optimize_serving) instead of the raw
-/// builder graph. Same warp-per-query kernel shape and determinism contract
-/// as graph_search_batch, plus three serve-time levers:
-///
-///  - *Cache-blocked expansion with software prefetch*: neighbor lists are
-///    CSR rows in BFS order, and while `l2_batch` scores one warp-tile of
-///    candidates the next tile's base rows (and the frontier head's CSR row)
-///    are prefetched — the descent streams instead of pointer-chasing.
-///  - *Pruned degree*: occluded edges are gone, so each hop scores fewer
-///    candidates for the same navigability.
-///  - *Adaptive termination*: `params.patience` / `params.visit_budget`
-///    behave exactly as on the raw path.
-///
-/// External stability: entry sampling draws ids in the *pre-permutation* id
-/// space and maps them through `sg.old_to_new`, and every emitted neighbor is
-/// mapped back through `sg.new_to_old` — so with pruning disabled and no
-/// early termination, results are externally identical to
-/// graph_search_batch over the source graph (same entries, same distances,
-/// same ids; tie-breaks between equal-distance points are the only possible
-/// difference). Tombstones travel inside the layout (`sg.exclude`, permuted
-/// at build time), which is why a layout must never outlive the snapshot
-/// version it was built from — see opt::ServingGraph::source_version.
-///
-/// The sq8 compressed tier is not routed through the optimized layout
-/// (codes stay in source order); serving falls back to the raw path when a
-/// snapshot carries both.
-///
-/// `exclude`, when non-empty, must have one byte per layout row *in the
-/// permuted id space* and replaces the layout's baked `sg.exclude` — the
-/// dynamic index uses this to serve delete-only publications through a reused
-/// layout by re-permuting the fresh tombstone vector instead of rebuilding
-/// the whole layout. Empty = use `sg.exclude` as built.
 BatchSearchResult serving_search_batch(ThreadPool& pool,
                                        const opt::ServingGraph& sg,
                                        const FloatMatrix& queries,

@@ -471,6 +471,23 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
 
       std::vector<std::uint8_t> seen(points_.rows(), 0);
       seen[p] = 1;
+      // Keep the row's surviving live entries with their stored distances.
+      // They are marked seen first, so the candidate pool below never holds
+      // them a second time: a duplicate in the row would later be collapsed
+      // by the tiled merge, freeing a slot in a schedule-dependent way.
+      TopK best(k);
+      const std::uint64_t* slots = sets_.row(p);
+      for (std::size_t s = 0; s < k; ++s) {
+        const std::uint64_t v = slots[s];
+        if (Packed::is_empty(v) || !Packed::is_finite(v)) continue;
+        const std::uint32_t id = Packed::id(v);
+        if (id >= points_.rows() || id == p || tombstone_[id] != 0) continue;
+        if (seen[id] != 0) continue;
+        seen[id] = 1;
+        best.push(Packed::dist(v), id);
+      }
+      w.count_read(k * sizeof(std::uint64_t));
+
       std::vector<std::uint32_t> cand;
       cand.reserve(sample_cap);
       auto consider = [&](std::uint32_t c) {
@@ -488,20 +505,7 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
         for (const std::uint32_t r : adj.forward(q)) consider(r);
       }
 
-      // Keep the row's surviving live entries (their distances are stored),
-      // rescore the candidate pool, take the k best of the union.
-      TopK best(k);
-      const std::uint64_t* slots = sets_.row(p);
-      for (std::size_t s = 0; s < k; ++s) {
-        const std::uint64_t v = slots[s];
-        if (Packed::is_empty(v) || !Packed::is_finite(v)) continue;
-        const std::uint32_t id = Packed::id(v);
-        if (id >= points_.rows() || id == p || tombstone_[id] != 0) continue;
-        if (seen[id] == 0) seen[id] = 1;
-        best.push(Packed::dist(v), id);
-      }
-      w.count_read(k * sizeof(std::uint64_t));
-
+      // Rescore the candidate pool; take the k best of the union.
       const auto query = points_.row(p);
       for (std::size_t t0 = 0; t0 < cand.size(); t0 += kWarpSize) {
         const std::size_t cnt =

@@ -38,19 +38,20 @@ void Tracer::instant(
 
 std::uint64_t Tracer::span_id(std::uint64_t a, std::uint64_t b,
                               std::uint64_t c, SpanSalt salt) {
-  // splitmix64-style finalizer over the packed indices: cheap, stateless,
-  // and collision-free in practice for the small index ranges involved.
-  std::uint64_t x = a * 0x9e3779b97f4a7c15ULL;
-  x ^= b + 0xbf58476d1ce4e5b9ULL + (x << 6) + (x >> 2);
-  x ^= c + 0x94d049bb133111ebULL + (x << 6) + (x >> 2);
-  x ^= static_cast<std::uint64_t>(salt) + 0x2545f4914f6cdd1dULL + (x << 6) +
-       (x >> 2);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
+  // Chained splitmix64: each step adds one argument and applies the
+  // finalizer, a bijection on 64-bit words. With the other arguments fixed,
+  // the id is therefore injective in each argument — distinct launches of
+  // one phase can never share an id.
+  const auto mix = [](std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  std::uint64_t x = mix(static_cast<std::uint64_t>(salt));
+  x = mix(x + a);
+  x = mix(x + b);
+  return mix(x + c);
 }
 
 std::uint64_t Tracer::begin_phase(const char* name) {

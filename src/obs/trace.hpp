@@ -76,7 +76,8 @@ class Tracer {
                std::uint32_t tid,
                std::vector<std::pair<std::string, std::string>> args = {});
 
-  /// Deterministic id: splitmix-style hash of the three indices and the salt.
+  /// Deterministic id: chained splitmix64 over the salt and the three
+  /// indices, injective in each index when the others are fixed.
   static std::uint64_t span_id(std::uint64_t a, std::uint64_t b,
                                std::uint64_t c, SpanSalt salt);
 

@@ -42,9 +42,6 @@ ServeEngine::ServeEngine(ThreadPool& pool, ServeOptions options,
   WKNNG_CHECK_MSG(slot_.current() != nullptr,
                   "ServeEngine needs an initial snapshot");
   WKNNG_CHECK_MSG(options_.workers > 0, "ServeEngine needs >= 1 worker");
-  if (options_.rerank_depth != 0) {
-    options_.search.rerank_depth = options_.rerank_depth;
-  }
   // Admission validation at construction: a misconfigured engine (k == 0,
   // entry_sample == 0) throws SearchParamError here, before any thread
   // starts, instead of failing every query.

@@ -33,12 +33,6 @@ struct ServeOptions {
   std::size_t queue_capacity = 4096;   ///< pending requests before shedding
   std::uint64_t default_deadline_us = 0;  ///< per-request default; 0 = none
   core::SearchParams search;           ///< kernel parameters (k, beam, seed)
-
-  /// Compressed-tier rerank depth; nonzero overrides `search.rerank_depth`
-  /// at engine construction. Only meaningful when served snapshots carry an
-  /// SQ8 tier (GraphSnapshot::sq8); see core::SearchParams::rerank_depth
-  /// for the 0 = auto (2k) semantics.
-  std::size_t rerank_depth = 0;
   obs::ObsParams obs;                  ///< span-tracing participation knobs
 
   /// Serve-path optimization. With `optimize` on, the engine ensures every
@@ -89,9 +83,11 @@ struct ServeOptions {
 /// stamps its deadline, and enqueues it (or sheds, typed, when the queue is
 /// full). Executor threads form micro-batches (flush at `max_batch` or
 /// `max_delay_us`, whichever first), pin the current GraphSnapshot, and run
-/// the warp-per-query `core::graph_search_batch` kernel on the shared
-/// ThreadPool — several batches in flight use the pool's multi-job
-/// scheduling, the substrate's analogue of concurrent kernels on one device.
+/// the warp-per-query search kernel on the shared ThreadPool — through
+/// `core::serving_search_batch` when the snapshot carries an optimized
+/// layout, `core::graph_search_batch` otherwise. Several batches in flight
+/// use the pool's multi-job scheduling, the substrate's analogue of
+/// concurrent kernels on one device.
 ///
 /// Snapshots: `publish` atomically swaps the graph (std::shared_ptr store);
 /// in-flight batches finish on the snapshot they pinned, new batches see the

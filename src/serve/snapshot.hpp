@@ -33,7 +33,7 @@ namespace wknng::serve {
 /// A snapshot published by the dynamic index (src/dynamic) additionally
 /// carries the mutable-lifecycle metadata frozen at publish time:
 /// `tombstones` (one byte per base row; non-zero = deleted, the executor
-/// hands it to graph_search_batch as the exclusion mask so deleted points are
+/// hands it to the search kernel as the exclusion mask so deleted points are
 /// invisible to results the moment the snapshot lands) and `external_ids`
 /// (internal row -> stable client-facing id; the executor remaps every
 /// emitted neighbor, so ids survive compaction's row rewrites). Both are
@@ -49,8 +49,9 @@ struct GraphSnapshot {
 
   /// Optional optimized serving layout (opt::optimize_serving over this
   /// snapshot's graph): pruned edges, BFS/CSR relayout, gathered base rows.
-  /// Batch executors route through core::serving_search_batch when present
-  /// (and no sq8 tier is carried); null serves exactly as before.
+  /// Batch executors search it through core::serving_search_batch (the
+  /// kernel's layout adapter) when present and no sq8 tier is carried; null
+  /// serves through core::graph_search_batch over `graph`.
   std::shared_ptr<const opt::ServingGraph> serving;
 
   /// Tombstones re-permuted into `serving`'s id space, frozen at publish.

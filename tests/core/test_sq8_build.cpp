@@ -265,7 +265,7 @@ TEST(Sq8Serve, EngineServesCompressedSnapshot) {
 
   serve::ServeOptions so;
   so.search.k = 8;
-  so.rerank_depth = 24;
+  so.search.rerank_depth = 24;
   serve::ServeEngine engine(pool, so,
                             serve::make_snapshot(1, pts, r.graph, r.sq8));
   ASSERT_TRUE(engine.snapshot()->sq8_view().valid());

@@ -235,6 +235,13 @@ TEST(DynamicKnng, RepairClearsDirtyRowsAndKeepsInvariants) {
   EXPECT_EQ(dyn.version(), before + 1);
   EXPECT_EQ(dyn.state().dirty_rows, 0u);
   EXPECT_TRUE(dyn.snapshot()->graph.check_invariants());
+  // Repair keeps each surviving neighbor once: no slot of a live row is
+  // lost to a duplicate of an entry it kept.
+  const auto snap = dyn.snapshot();
+  for (std::size_t p = 0; p < snap->graph.num_points(); ++p) {
+    if ((*snap->tombstones)[p] != 0) continue;
+    EXPECT_EQ(snap->graph.row_size(p), snap->graph.k()) << "row " << p;
+  }
 
   // Nothing dirty -> nothing to do, nothing logged.
   EXPECT_EQ(dyn.repair(), 0u);

@@ -68,13 +68,17 @@ TEST(TraceIds, DeterministicAndSaltSeparated) {
   EXPECT_NE(a, Tracer::span_id(1, 2, 3, SpanSalt::kPhase));
   EXPECT_NE(a, Tracer::span_id(2, 1, 3, SpanSalt::kLaunch));
   EXPECT_NE(a, Tracer::span_id(1, 2, 4, SpanSalt::kLaunch));
-  // The hash must spread consecutive indices: no two of the first 1000 launch
-  // ids may collide.
+  // Distinct launches must never share an id: no collisions among 65,536
+  // consecutive launch ids in each of several phases, within or across them.
+  constexpr std::uint64_t kPhases = 4;
+  constexpr std::uint64_t kLaunches = 65536;
   std::set<std::uint64_t> seen;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    seen.insert(Tracer::span_id(0, i, 0, SpanSalt::kLaunch));
+  for (std::uint64_t phase = 0; phase < kPhases; ++phase) {
+    for (std::uint64_t i = 0; i < kLaunches; ++i) {
+      seen.insert(Tracer::span_id(phase, i, 0, SpanSalt::kLaunch));
+    }
   }
-  EXPECT_EQ(seen.size(), 1000u);
+  EXPECT_EQ(seen.size(), kPhases * kLaunches);
 }
 
 TEST(TraceIds, NoWallClockInIds) {

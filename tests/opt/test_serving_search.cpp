@@ -42,6 +42,36 @@ struct Fixture {
   }
 };
 
+/// The two search entry points, run over the same fixture: the raw builder
+/// graph and its pruned, reordered serving layout. Both drive one kernel, so
+/// every behavioral test below runs over each.
+enum class EntryPoint { kRaw, kLayout };
+constexpr EntryPoint kEntryPoints[] = {EntryPoint::kRaw, EntryPoint::kLayout};
+
+const char* entry_name(EntryPoint ep) {
+  return ep == EntryPoint::kRaw ? "graph_search_batch"
+                                : "serving_search_batch";
+}
+
+/// Searches `queries` through `ep`. `exclude` is in the caller's id space;
+/// the layout run permutes a well-sized mask into the layout's id space (and
+/// passes a malformed one through, so size checks stay observable).
+BatchSearchResult search(EntryPoint ep, Fixture& f, const FloatMatrix& queries,
+                         const SearchParams& sp,
+                         const std::vector<std::uint8_t>& exclude = {}) {
+  if (ep == EntryPoint::kRaw) {
+    return graph_search_batch(f.pool, f.base, f.graph, queries, {}, sp,
+                              nullptr, nullptr, nullptr, exclude);
+  }
+  std::vector<std::uint8_t> permuted = exclude;
+  if (exclude.size() == f.sg.n()) {
+    for (std::size_t old_id = 0; old_id < exclude.size(); ++old_id) {
+      permuted[f.sg.old_to_new[old_id]] = exclude[old_id];
+    }
+  }
+  return serving_search_batch(f.pool, f.sg, queries, {}, sp, permuted);
+}
+
 TEST(ServingSearch, PrunedLayoutKeepsRecallWithinAPoint) {
   Fixture f;
   SearchParams sp;
@@ -70,17 +100,20 @@ TEST(ServingSearch, ResultDistancesAreExactAndRowsSorted) {
   Fixture f(800, 10, 12);
   SearchParams sp;
   sp.k = 6;
-  const BatchSearchResult got =
-      serving_search_batch(f.pool, f.sg, f.queries, {}, sp);
-  for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
-    const auto row = got.results.row(qi);
-    const std::size_t valid = got.results.row_size(qi);
-    ASSERT_GT(valid, 0u);
-    for (std::size_t s = 0; s < valid; ++s) {
-      ASSERT_LT(row[s].id, f.base.rows());  // old id space
-      const float expect = exact::l2_sq(f.queries.row(qi), f.base.row(row[s].id));
-      EXPECT_FLOAT_EQ(row[s].dist, expect) << "query " << qi;
-      if (s > 0) EXPECT_TRUE(row[s - 1] < row[s]);
+  for (const EntryPoint ep : kEntryPoints) {
+    SCOPED_TRACE(entry_name(ep));
+    const BatchSearchResult got = search(ep, f, f.queries, sp);
+    for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+      const auto row = got.results.row(qi);
+      const std::size_t valid = got.results.row_size(qi);
+      ASSERT_GT(valid, 0u);
+      for (std::size_t s = 0; s < valid; ++s) {
+        ASSERT_LT(row[s].id, f.base.rows());  // old id space
+        const float expect =
+            exact::l2_sq(f.queries.row(qi), f.base.row(row[s].id));
+        EXPECT_FLOAT_EQ(row[s].dist, expect) << "query " << qi;
+        if (s > 0) EXPECT_TRUE(row[s - 1] < row[s]);
+      }
     }
   }
 }
@@ -92,92 +125,98 @@ TEST(ServingSearch, VisitBudgetCapsWorkAndFlagsCappedQueries) {
   // Entry scoring counts toward the budget, so keep the sample below the cap
   // to leave the descent room (a budget under entry_sample caps immediately).
   sp.entry_sample = 32;
-  const BatchSearchResult free_run =
-      serving_search_batch(f.pool, f.sg, f.queries, {}, sp);
-  for (const std::uint8_t c : free_run.capped) {
-    EXPECT_EQ(c, 0u);  // no budget -> nothing capped
-  }
-
-  sp.visit_budget = 64;  // far below the free-running visit counts
-  const BatchSearchResult budgeted =
-      serving_search_batch(f.pool, f.sg, f.queries, {}, sp);
-  std::size_t capped = 0;
-  for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
-    // Budget is checked at hop granularity: one row of expansions of slack.
-    EXPECT_LE(budgeted.visits[qi], sp.visit_budget + f.graph.k())
-        << "query " << qi;
-    EXPECT_LE(budgeted.visits[qi], free_run.visits[qi]);
-    if (budgeted.capped[qi]) {
-      ++capped;
-      EXPECT_GE(budgeted.visits[qi], sp.visit_budget);
+  for (const EntryPoint ep : kEntryPoints) {
+    SCOPED_TRACE(entry_name(ep));
+    sp.visit_budget = 0;
+    const BatchSearchResult free_run = search(ep, f, f.queries, sp);
+    for (const std::uint8_t c : free_run.capped) {
+      EXPECT_EQ(c, 0u);  // no budget -> nothing capped
     }
-    EXPECT_GT(budgeted.results.row_size(qi), 0u);  // capped, never empty
+
+    sp.visit_budget = 64;  // far below the free-running visit counts
+    const BatchSearchResult budgeted = search(ep, f, f.queries, sp);
+    std::size_t capped = 0;
+    for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+      // Budget is checked at hop granularity: one row of expansions of slack.
+      EXPECT_LE(budgeted.visits[qi], sp.visit_budget + f.graph.k())
+          << "query " << qi;
+      EXPECT_LE(budgeted.visits[qi], free_run.visits[qi]);
+      if (budgeted.capped[qi]) {
+        ++capped;
+        EXPECT_GE(budgeted.visits[qi], sp.visit_budget);
+      }
+      EXPECT_GT(budgeted.results.row_size(qi), 0u);  // capped, never empty
+    }
+    EXPECT_GT(capped, 0u) << "a 64-visit budget must cap some query";
   }
-  EXPECT_GT(capped, 0u) << "a 64-visit budget must cap some query";
 }
 
 TEST(ServingSearch, PatienceTerminatesEarlyWithoutCorruptingRows) {
   Fixture f;
   SearchParams sp;
   sp.k = 10;
-  const BatchSearchResult free_run =
-      serving_search_batch(f.pool, f.sg, f.queries, {}, sp);
-  sp.patience = 1;
-  const BatchSearchResult impatient =
-      serving_search_batch(f.pool, f.sg, f.queries, {}, sp);
-  std::uint64_t visits_free = 0;
-  std::uint64_t visits_impatient = 0;
-  for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
-    visits_free += free_run.visits[qi];
-    visits_impatient += impatient.visits[qi];
-    EXPECT_GT(impatient.results.row_size(qi), 0u);
-    EXPECT_LE(impatient.visits[qi], free_run.visits[qi]) << "query " << qi;
+  for (const EntryPoint ep : kEntryPoints) {
+    SCOPED_TRACE(entry_name(ep));
+    sp.patience = 0;
+    const BatchSearchResult free_run = search(ep, f, f.queries, sp);
+    sp.patience = 1;
+    const BatchSearchResult impatient = search(ep, f, f.queries, sp);
+    std::uint64_t visits_free = 0;
+    std::uint64_t visits_impatient = 0;
+    for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+      visits_free += free_run.visits[qi];
+      visits_impatient += impatient.visits[qi];
+      EXPECT_GT(impatient.results.row_size(qi), 0u);
+      EXPECT_LE(impatient.visits[qi], free_run.visits[qi]) << "query " << qi;
+    }
+    EXPECT_LT(visits_impatient, visits_free);
   }
-  EXPECT_LT(visits_impatient, visits_free);
 }
 
 TEST(ServingSearch, ExcludeOverrideReplacesTheBakedMask) {
   Fixture f(900, 10, 16);
   SearchParams sp;
   sp.k = 8;
-  const BatchSearchResult unmasked =
-      serving_search_batch(f.pool, f.sg, f.queries, {}, sp);
+  for (const EntryPoint ep : kEntryPoints) {
+    SCOPED_TRACE(entry_name(ep));
+    const BatchSearchResult unmasked = search(ep, f, f.queries, sp);
 
-  // Exclude (in the permuted id space) every point the unmasked run returned
-  // for query 0 — none may reappear, for any query.
-  std::vector<std::uint8_t> exclude(f.sg.n(), 0);
-  for (const Neighbor& nb : unmasked.results.row(0)) {
-    if (nb.id == KnnGraph::kInvalid) break;
-    exclude[f.sg.old_to_new[nb.id]] = 1;
-  }
-  const BatchSearchResult masked =
-      serving_search_batch(f.pool, f.sg, f.queries, {}, sp, exclude);
-  for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
-    EXPECT_GT(masked.results.row_size(qi), 0u);
-    for (const Neighbor& nb : masked.results.row(qi)) {
+    // Exclude every point the unmasked run returned for query 0 — none may
+    // reappear, for any query. On the layout the mask is passed permuted, as
+    // an override of the layout's baked (empty) mask.
+    std::vector<std::uint8_t> exclude(f.base.rows(), 0);
+    for (const Neighbor& nb : unmasked.results.row(0)) {
       if (nb.id == KnnGraph::kInvalid) break;
-      EXPECT_EQ(exclude[f.sg.old_to_new[nb.id]], 0u)
-          << "query " << qi << " returned an excluded point";
+      exclude[nb.id] = 1;
     }
+    const BatchSearchResult masked = search(ep, f, f.queries, sp, exclude);
+    for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+      EXPECT_GT(masked.results.row_size(qi), 0u);
+      for (const Neighbor& nb : masked.results.row(qi)) {
+        if (nb.id == KnnGraph::kInvalid) break;
+        EXPECT_EQ(exclude[nb.id], 0u)
+            << "query " << qi << " returned an excluded point";
+      }
+    }
+    EXPECT_THROW(search(ep, f, f.queries, sp, std::vector<std::uint8_t>(3, 0)),
+                 Error);
   }
-  EXPECT_THROW(serving_search_batch(f.pool, f.sg, f.queries, {}, sp,
-                                    std::vector<std::uint8_t>(3, 0)),
-               Error);
 }
 
 TEST(ServingSearch, AdmissionErrorsAreTypedAndEarly) {
   Fixture f(300, 8, 4);
-  SearchParams sp;
-  sp.k = 0;
-  EXPECT_THROW(serving_search_batch(f.pool, f.sg, f.queries, {}, sp),
-               SearchParamError);
-  sp.k = 4;
-  sp.entry_sample = 0;
-  EXPECT_THROW(serving_search_batch(f.pool, f.sg, f.queries, {}, sp),
-               SearchParamError);
-  FloatMatrix wrong(2, f.base.cols() + 1);
-  sp.entry_sample = 64;
-  EXPECT_THROW(serving_search_batch(f.pool, f.sg, wrong, {}, sp), Error);
+  for (const EntryPoint ep : kEntryPoints) {
+    SCOPED_TRACE(entry_name(ep));
+    SearchParams sp;
+    sp.k = 0;
+    EXPECT_THROW(search(ep, f, f.queries, sp), SearchParamError);
+    sp.k = 4;
+    sp.entry_sample = 0;
+    EXPECT_THROW(search(ep, f, f.queries, sp), SearchParamError);
+    FloatMatrix wrong(2, f.base.cols() + 1);
+    sp.entry_sample = 64;
+    EXPECT_THROW(search(ep, f, wrong, sp), Error);
+  }
 }
 
 TEST(ServingSearch, ZeroQueriesIsAnEmptyResult) {
@@ -185,11 +224,13 @@ TEST(ServingSearch, ZeroQueriesIsAnEmptyResult) {
   FloatMatrix none(0, 8);
   SearchParams sp;
   sp.k = 4;
-  const BatchSearchResult got =
-      serving_search_batch(f.pool, f.sg, none, {}, sp);
-  EXPECT_EQ(got.results.num_points(), 0u);
-  EXPECT_TRUE(got.visits.empty());
-  EXPECT_TRUE(got.capped.empty());
+  for (const EntryPoint ep : kEntryPoints) {
+    SCOPED_TRACE(entry_name(ep));
+    const BatchSearchResult got = search(ep, f, none, sp);
+    EXPECT_EQ(got.results.num_points(), 0u);
+    EXPECT_TRUE(got.visits.empty());
+    EXPECT_TRUE(got.capped.empty());
+  }
 }
 
 }  // namespace
