@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/topk.hpp"
 #include "core/params.hpp"
 #include "kernels/kernels.hpp"
@@ -36,17 +35,16 @@ std::size_t frontier_capacity(const SearchParams& params) {
 
 /// Adjacency adapter over the raw builder graph: fixed-width KnnGraph rows
 /// cut at kInvalid, ids are the caller's ids throughout, and no prefetch
-/// hints (source order gives them nothing to stream).
+/// hints (source order gives them nothing to stream). The norms come from
+/// the caller's SearchCache, or are computed on the fly without one.
 struct RawAdjacency {
   static constexpr const char* kTraceLabel = "graph_search";
   const FloatMatrix& base;
   const KnnGraph& graph;
 
+  std::span<const float> norms;  ///< base-row norms; empty = on the fly
+
   std::size_t n() const { return base.rows(); }
-  std::span<const float> norms(SearchScratch& scr) const {
-    return scr.base_norms(base);
-  }
-  std::uint32_t entry(std::uint32_t id) const { return id; }
 
   /// Calls `f` on every neighbor of `id`; returns the row bytes read.
   template <class F>
@@ -64,24 +62,20 @@ struct RawAdjacency {
 };
 
 /// Adjacency adapter over an optimized serving layout: CSR rows in BFS
-/// order over base rows gathered to match. Entries are drawn in the source
-/// id space and mapped in through `old_to_new`; results are mapped back
-/// through `new_to_old`. It prefetches the frontier head's row and the next
-/// tile's base rows, which pays off because the BFS order makes the rows a
-/// descent walks near-adjacent.
+/// order over base rows gathered to match. Results are mapped back through
+/// `new_to_old`. It prefetches the frontier head's row and the next tile's
+/// base rows, which pays off because the BFS order makes the rows a descent
+/// walks near-adjacent.
 struct LayoutAdjacency {
   static constexpr const char* kTraceLabel = "serving_search";
   const opt::ServingGraph& sg;
   const FloatMatrix& base = sg.base;
-
-  std::size_t n() const { return sg.n(); }
   // The layout carries its own norm cache, gathered into the permuted order
   // at build time (empty when built in strict mode — the scalar backend
   // ignores caches either way, per the kernels contract).
-  std::span<const float> norms(SearchScratch&) const { return sg.norms; }
-  std::uint32_t entry(std::uint32_t old_id) const {
-    return sg.old_to_new[old_id];
-  }
+  std::span<const float> norms = sg.norms;
+
+  std::size_t n() const { return sg.n(); }
 
   template <class F>
   std::size_t for_each_neighbor(std::uint32_t id, F&& f) const {
@@ -111,13 +105,14 @@ struct LayoutAdjacency {
 };
 
 /// The warp-per-query beam search behind every entry point: scored entry
-/// sample, FrontierHeap descent with patience and visit budget, optional sq8
+/// table, FrontierHeap descent with patience and visit budget, optional sq8
 /// descent with exact rerank, exclusion mask, top-k emission. `adj` decides
-/// how rows are read and ids mapped; inputs are validated by the caller.
+/// how rows are read and ids mapped; `table` holds ids in adj's id space;
+/// inputs are validated by the caller.
 template <class Adjacency>
 BatchSearchResult search_kernel(ThreadPool& pool, const Adjacency& adj,
+                                const EntryTable& table,
                                 const FloatMatrix& queries,
-                                std::span<const std::uint64_t> tags,
                                 const SearchParams& params,
                                 std::span<const std::uint8_t> exclude,
                                 const kernels::Sq8View* sq8,
@@ -149,15 +144,12 @@ BatchSearchResult search_kernel(ThreadPool& pool, const Adjacency& adj,
 
   SearchScratch local_scratch;
   SearchScratch& scr = scratch != nullptr ? *scratch : local_scratch;
-  const std::span<const float> base_norms = adj.norms(scr);
 
   simt::LaunchConfig search_config;
   search_config.trace_label = Adjacency::kTraceLabel;
   simt::launch_warps(pool, nq, search_config, acc, [&](Warp& w) {
     const std::size_t qi = w.id();
-    const std::uint64_t tag = tags.empty() ? qi : tags[qi];
     const auto query = queries.row(qi);
-    Rng rng(params.seed, 0x5EA5C000ULL + tag);
 
     SearchScratch::Slot& slot = scr.local();
     slot.begin(n);
@@ -197,29 +189,38 @@ BatchSearchResult search_kernel(ThreadPool& pool, const Adjacency& adj,
                      : simt::warp_l2_batch(
                            w, query, lane_ids, active,
                            [&](std::uint32_t p) { return base.row(p); },
-                           base_norms);
+                           adj.norms);
     };
 
-    // Entry scoring: a random sample drawn in the caller's id space, scored
-    // in candidate-parallel tiles.
-    std::vector<std::uint32_t>& sample = slot.sample;
-    sample.clear();
-    for (std::size_t e = 0; e < params.entry_sample && sample.size() < n; ++e) {
-      const std::uint32_t id =
-          adj.entry(static_cast<std::uint32_t>(rng.next_below(n)));
-      if (slot.test_and_set(id)) continue;
-      sample.push_back(id);
-    }
+    // Entry scoring: the packed entry table, streamed as contiguous 32-row
+    // tiles (lane ids are table slots; the sq8 path gathers code rows by id).
     TopK entries(entry_keep);
-    for (std::size_t t0 = 0; t0 < sample.size(); t0 += kWarpSize) {
-      Lanes<std::uint32_t> lane_ids{};
-      const Lanes<float> d = score_tile(sample, t0, lane_ids);
+    for (std::size_t t0 = 0; t0 < table.size(); t0 += kWarpSize) {
       const std::size_t cnt =
-          std::min<std::size_t>(kWarpSize, sample.size() - t0);
-      for (std::size_t l = 0; l < cnt; ++l) entries.push(d[l], lane_ids[l]);
+          std::min<std::size_t>(kWarpSize, table.size() - t0);
+      Lanes<std::uint32_t> lane_ids{};
+      Lanes<float> d;
+      if (use_sq8) {
+        d = score_tile(table.ids, t0, lane_ids);
+      } else {
+        Lanes<bool> active{};
+        for (std::size_t l = 0; l < cnt; ++l) {
+          lane_ids[l] = static_cast<std::uint32_t>(t0 + l);
+          active[l] = true;
+        }
+        d = simt::warp_l2_batch(
+            w, query, lane_ids, active,
+            [&](std::uint32_t t) { return table.rows.row(t); }, table.norms);
+      }
+      for (std::size_t l = 0; l < cnt; ++l) {
+        entries.push(d[l], table.ids[t0 + l]);
+      }
     }
-    visits += sample.size();
+    visits += table.size();
+    // Only the kept entries are marked visited: the rest of the table stays
+    // ordinary nodes the descent may reach (and score again).
     for (const Neighbor& e : entries.take_sorted()) {
+      slot.test_and_set(e.id);
       frontier.push(e, best.worst());  // excluded entries still navigate
       if (!is_excluded(e.id)) best.push(e.dist, e.id);
     }
@@ -284,7 +285,7 @@ BatchSearchResult search_kernel(ThreadPool& pool, const Adjacency& adj,
         }
         const Lanes<float> d = simt::warp_l2_batch(
             w, query, lane_ids, active,
-            [&](std::uint32_t p) { return base.row(p); }, base_norms);
+            [&](std::uint32_t p) { return base.row(p); }, adj.norms);
         for (std::size_t l = 0; l < cnt; ++l) exact.push(d[l], lane_ids[l]);
         visits += cnt;
       }
@@ -299,6 +300,15 @@ BatchSearchResult search_kernel(ThreadPool& pool, const Adjacency& adj,
   });
 
   return out;
+}
+
+/// The layout's entry table: drawn in the source id space and mapped in
+/// through `old_to_new`, so it holds the raw graph's table points in the
+/// raw graph's order.
+const EntryTable& layout_entry_table(const opt::ServingGraph& sg,
+                                     const SearchParams& params) {
+  return sg.search_cache.entry_table(sg.base, params.seed,
+                                     params.entry_sample, sg.old_to_new);
 }
 
 }  // namespace
@@ -323,14 +333,6 @@ SearchScratch::Slot& SearchScratch::local() {
   return *slot;
 }
 
-std::span<const float> SearchScratch::base_norms(const FloatMatrix& base) {
-  std::call_once(norms_once_, [&] {
-    if (!kernels::strict_mode()) base_norms_ = kernels::row_norms(base);
-  });
-  if (base_norms_.size() != base.rows()) return {};
-  return base_norms_;
-}
-
 BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
                                      const KnnGraph& graph,
                                      const FloatMatrix& queries,
@@ -339,7 +341,8 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
                                      SearchScratch* scratch,
                                      simt::StatsAccumulator* acc,
                                      const kernels::Sq8View* sq8,
-                                     std::span<const std::uint8_t> exclude) {
+                                     std::span<const std::uint8_t> exclude,
+                                     SearchCache* cache) {
   WKNNG_CHECK(base.cols() == queries.cols());
   WKNNG_CHECK_MSG(exclude.empty() || exclude.size() == base.rows(),
                   "exclusion mask size " << exclude.size() << " != base "
@@ -356,8 +359,15 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
   WKNNG_CHECK_MSG(tags.empty() || tags.size() == queries.rows(),
                   "tags size " << tags.size() << " != queries "
                                << queries.rows());
-  return search_kernel(pool, RawAdjacency{base, graph}, queries, tags, params,
-                       exclude, sq8, scratch, acc);
+  // Without an owning artifact the identical table is built for this call
+  // and the base norms are computed on the fly.
+  SearchCache call_cache;
+  SearchCache& c = cache != nullptr ? *cache : call_cache;
+  const std::span<const float> norms =
+      cache != nullptr ? cache->norms(base) : std::span<const float>{};
+  return search_kernel(pool, RawAdjacency{base, graph, norms},
+                       c.entry_table(base, params.seed, params.entry_sample),
+                       queries, params, exclude, sq8, scratch, acc);
 }
 
 BatchSearchResult serving_search_batch(ThreadPool& pool,
@@ -385,9 +395,21 @@ BatchSearchResult serving_search_batch(ThreadPool& pool,
   // layout is searched uncompressed.
   const std::span<const std::uint8_t> mask =
       !exclude.empty() ? exclude : std::span<const std::uint8_t>(sg.exclude);
-  return search_kernel(pool, LayoutAdjacency{sg}, queries, tags, params, mask,
-                       nullptr, scratch, acc);
+  return search_kernel(pool, LayoutAdjacency{sg}, layout_entry_table(sg, params),
+                       queries, params, mask, nullptr, scratch, acc);
 }
+
+void warm_search_cache(const FloatMatrix& base, SearchCache& cache,
+                       const SearchParams& params) {
+  (void)cache.norms(base);
+  (void)cache.entry_table(base, params.seed, params.entry_sample);
+}
+
+void warm_search_cache(const opt::ServingGraph& sg,
+                       const SearchParams& params) {
+  (void)layout_entry_table(sg, params);
+}
+
 KnnGraph graph_search(ThreadPool& pool, const FloatMatrix& base,
                       const KnnGraph& graph, const FloatMatrix& queries,
                       const SearchParams& params, SearchStats* stats,

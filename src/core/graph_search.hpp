@@ -13,6 +13,7 @@
 #include "common/matrix.hpp"
 #include "common/thread_pool.hpp"
 #include "common/topk.hpp"
+#include "core/entry_table.hpp"
 #include "kernels/sq8.hpp"
 #include "opt/serving_graph.hpp"
 #include "simt/stats.hpp"
@@ -102,10 +103,13 @@ class FrontierHeap {
 /// with a bounded frontier (`beam`).
 struct SearchParams {
   std::size_t k = 10;             ///< results per query
-  std::size_t entry_sample = 256; ///< random base points scored for entry
+  /// Random draws behind the entry table (see EntryTable): one seeded
+  /// sample of the searched rows, shared by every query, of which each
+  /// query scores all and keeps the best `entry_keep`.
+  std::size_t entry_sample = 256;
   std::size_t entry_keep = 8;     ///< best entries that seed the frontier
   std::size_t beam = 48;          ///< result/frontier width during descent
-  std::uint64_t seed = 7;         ///< entry sampling seed
+  std::uint64_t seed = 7;         ///< entry table seed
 
   /// Adaptive early termination: stop the descent once `patience` consecutive
   /// hop expansions admit nothing into the result/beam heap (the top-k has
@@ -150,13 +154,15 @@ void validate_search_params(const SearchParams& params);
 /// every `graph_search_batch` call so the hot path stops paying an O(n)
 /// visited-array allocation+clear per query. Each worker thread lazily
 /// acquires a private slot (one mutex-protected lookup per query); inside a
-/// slot, visited marks are epoch-stamped so "clear" is a counter bump.
+/// slot, visited marks are epoch-stamped so "clear" is a counter bump. The
+/// scratch holds nothing derived from the searched rows, so one scratch may
+/// serve any sequence of snapshots; row-derived caches live on the artifact
+/// (SearchCache).
 class SearchScratch {
  public:
   struct Slot {
     std::vector<std::uint32_t> mark;  ///< epoch stamp per base point
     std::uint32_t epoch = 0;
-    std::vector<std::uint32_t> sample;
     std::vector<std::uint32_t> expand;
     std::vector<float> qprep;  ///< prepared-query buffer (sq8 path only)
     std::vector<Neighbor> frontier;  ///< FrontierHeap storage (capacity reused)
@@ -185,18 +191,9 @@ class SearchScratch {
   /// The calling thread's slot (created on first use).
   Slot& local();
 
-  /// Squared-norm cache of the base rows, built lazily on the first batch
-  /// and reused by every later one (the serving engine searches one base for
-  /// its whole lifetime). Returns an empty span — "no cache" to the distance
-  /// kernels — in strict mode, or if the scratch is handed a base of a
-  /// different size than the one the cache was built for.
-  std::span<const float> base_norms(const FloatMatrix& base);
-
  private:
   std::mutex mutex_;
   std::unordered_map<std::thread::id, std::unique_ptr<Slot>> slots_;
-  std::once_flag norms_once_;
-  std::vector<float> base_norms_;
 };
 
 /// Result of a batched search: one KnnGraph row per query plus each query's
@@ -216,7 +213,7 @@ struct BatchSearchResult {
 };
 
 /// The two batched search entry points. Both run one warp-per-query beam
-/// search kernel (entry sampling, best-first FrontierHeap descent, patience,
+/// search kernel (entry scoring, best-first FrontierHeap descent, patience,
 /// visit budget, exclusion mask, top-k emission); they differ only in the
 /// adjacency adapter the kernel reads rows through:
 ///
@@ -227,28 +224,38 @@ struct BatchSearchResult {
 ///    (opt::optimize_serving): pruned CSR rows in BFS order over base rows
 ///    gathered to match. While one warp-tile of candidates is scored, the
 ///    next tile's base rows and the frontier head's CSR row are prefetched,
-///    so the descent streams instead of pointer-chasing. Entry sampling draws
-///    ids in the *pre-permutation* space and maps them through
+///    so the descent streams instead of pointer-chasing. The layout's entry
+///    table is drawn in the *pre-permutation* space and mapped through
 ///    `sg.old_to_new`, and every emitted neighbor is mapped back through
 ///    `sg.new_to_old` — so with pruning disabled and no early termination,
 ///    results are externally identical to graph_search_batch over the source
 ///    graph (tie-breaks between equal-distance points are the only possible
 ///    difference).
 ///
-/// `tags[i]` seeds query i's RNG stream (entry sampling). Results are a pure
-/// function of (base, graph or layout, params, query vector, tag) —
-/// independent of how requests were batched together, which worker ran them,
-/// or what else was in the batch. This is the determinism contract
-/// `serve::ServeEngine` relies on: it tags each request once at admission, so
-/// replays and re-batched runs return bit-identical neighbors. An empty
-/// `tags` span means "use the row index", which reproduces the classic
-/// `graph_search` behavior.
+/// Entry scoring: every query scores the artifact's EntryTable — one seeded
+/// sample of `params.entry_sample` draws, its rows packed contiguously — as
+/// 32-row tiles, keeps the best `params.entry_keep`, and marks only those
+/// visited; the other table rows stay ordinary nodes the descent may reach.
+/// `visits` counts every distance evaluation: the whole table, then each
+/// descent candidate (a table row reached again is scored again). The table
+/// lives in a SearchCache on the artifact that owns the rows: `sg`'s own
+/// cache on the layout entry point, the caller's `cache` (GraphSnapshot
+/// holds one) on the raw entry point. With a null `cache` the raw entry
+/// point builds the identical table for the call, so answers do not depend
+/// on whether a cache was supplied.
+///
+/// Results are a pure function of (base, graph or layout, params, query
+/// vector) — independent of how requests were batched together, which
+/// worker ran them, what else was in the batch, or the cache. `tags` is kept
+/// for callers that label requests (it must be empty or one per query) and
+/// does not affect answers. This is the determinism contract `serve::ServeEngine` relies on, so replays and
+/// re-batched runs return bit-identical neighbors.
 ///
 /// Degenerate inputs are clamped, never UB:
 ///  - zero queries → an empty result, no kernel launch
 ///  - `k > base.rows()` → rows carry all base points, tail slots invalid
 ///  - `entry_keep > entry_sample` → keep clamped to the sample size
-///  - `entry_sample` larger than the base → sampling stops at n points
+///  - `entry_sample` larger than the base → the table stops at n points
 ///
 /// `params.patience` / `params.visit_budget` behave identically on both.
 /// `scratch` may be null (a private arena is used for the call).
@@ -282,7 +289,8 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
                                      SearchScratch* scratch = nullptr,
                                      simt::StatsAccumulator* acc = nullptr,
                                      const kernels::Sq8View* sq8 = nullptr,
-                                     std::span<const std::uint8_t> exclude = {});
+                                     std::span<const std::uint8_t> exclude = {},
+                                     SearchCache* cache = nullptr);
 
 BatchSearchResult serving_search_batch(ThreadPool& pool,
                                        const opt::ServingGraph& sg,
@@ -293,10 +301,18 @@ BatchSearchResult serving_search_batch(ThreadPool& pool,
                                        SearchScratch* scratch = nullptr,
                                        simt::StatsAccumulator* acc = nullptr);
 
+/// Builds, ahead of the first query, what a search with `params` reads from
+/// an artifact's SearchCache: the base norms and entry table of a raw graph's
+/// `base`, or the entry table of layout `sg`. ServeEngine calls these when a
+/// snapshot is installed, so no query pays for a cold cache.
+void warm_search_cache(const FloatMatrix& base, SearchCache& cache,
+                       const SearchParams& params);
+void warm_search_cache(const opt::ServingGraph& sg, const SearchParams& params);
+
 /// Answers every query against `base` using `graph` for navigation; one
 /// warp per query on the SIMT substrate. Returns a KnnGraph with one row per
 /// query (ids refer to base points). Thin wrapper over `graph_search_batch`
-/// with row-index tags; `stats` totals are merged per-query in index order
+/// without a cache; `stats` totals are merged per-query in index order
 /// (deterministic for any pool size).
 KnnGraph graph_search(ThreadPool& pool, const FloatMatrix& base,
                       const KnnGraph& graph, const FloatMatrix& queries,

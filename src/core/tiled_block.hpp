@@ -59,7 +59,8 @@ inline std::size_t tiled_chunk_dims(std::size_t scratch_capacity,
       "scratch too small for tiled kernel: " << scratch_capacity);
   const std::size_t dc =
       (scratch_capacity - reserve) / (2 * simt::kWarpSize * sizeof(float));
-  return std::clamp<std::size_t>(dc, 8, dim);
+  // Not std::clamp: its precondition lo <= hi fails for dim < 8.
+  return std::min(std::max<std::size_t>(dc, 8), dim);
 }
 
 /// Allocates the kernel's scratch buffers out of the warp's arena.

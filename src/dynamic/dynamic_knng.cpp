@@ -317,19 +317,17 @@ void DynamicKnng::apply_insert(const FloatMatrix& rows,
   const std::size_t k = params_.k;
 
   // Phase 1: read-only descent over the frozen pre-batch graph. Every batch
-  // row searches the same state (batch points never see each other), and each
-  // query's RNG stream is keyed by its stable external id — the result is a
-  // pure function of (pre-batch state, row, external id), independent of
-  // batching and scheduling. Tombstoned rows are excluded from the results
-  // (a deleted point must never become a new point's neighbor) but remain
-  // navigable.
+  // row searches the same state (batch points never see each other) from the
+  // same entry table, built for this call (the pre-batch rows are about to
+  // change, so there is no artifact to cache it on) — the result is a pure
+  // function of (pre-batch state, row), independent of batching and
+  // scheduling. Tombstoned rows are excluded from the results (a deleted
+  // point must never become a new point's neighbor) but remain navigable.
   core::SearchParams sp = dyn_.insert_search;
   sp.k = k;
   sp.seed = params_.seed;
-  std::vector<std::uint64_t> tags(batch);
-  for (std::size_t i = 0; i < batch; ++i) tags[i] = external_ids[i];
   const core::BatchSearchResult found = core::graph_search_batch(
-      *pool_, points_, graph_, rows, tags, sp, nullptr, &acc_, nullptr,
+      *pool_, points_, graph_, rows, {}, sp, nullptr, &acc_, nullptr,
       tombstone_);
 
   // Phase 2: grow storage, then connect — forward edges into the new rows,

@@ -17,7 +17,7 @@ namespace {
 
 /// Stream-id salt for audit sampling draws — its own disjoint 64-bit block,
 /// like the loadgen's arrival/mutation streams, so the audit sample set
-/// never correlates with arrivals, write mix, or kernel RNG streams.
+/// never correlates with arrivals, write mix, or the entry-table stream.
 constexpr std::uint64_t kAuditStream = 0xA0D17BA5E0000000ULL;
 
 /// Scan chunk: row pointers gathered per chunk so the dispatched l2_batch

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/matrix.hpp"
+#include "core/entry_table.hpp"
 
 namespace wknng::opt {
 
@@ -55,6 +56,12 @@ struct ServingGraph {
   std::vector<std::uint32_t> new_to_old;
   std::vector<std::uint32_t> old_to_new;
   std::vector<std::uint8_t> exclude;  ///< permuted tombstones (may be empty)
+
+  /// Entry tables of searches over this layout, built on first use (or by
+  /// core::warm_search_cache) and shared by every snapshot that serves the
+  /// layout. Derived from `base` alone, so not persisted; a copy starts
+  /// empty.
+  mutable core::SearchCache search_cache;
 
   // Pipeline stats (exported as obs gauges by opt::register_serving_metrics).
   std::uint64_t edges_before = 0;

@@ -38,10 +38,9 @@ struct QueryResult {
   std::string error;                 ///< typed error text when status != kOk
 };
 
-/// One queued request. `tag` seeds the query's RNG stream in
-/// the search kernel — assigned once at admission so the result is
-/// independent of how requests get batched. `deadline` of time_point::max()
-/// means none.
+/// One queued request. `tag` is the caller's label, assigned once at
+/// admission (flight records, audit sampling, SLO windows key on it); it
+/// does not affect the answer. `deadline` of time_point::max() means none.
 struct Request {
   std::uint64_t id = 0;
   std::uint64_t tag = 0;

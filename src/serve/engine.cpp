@@ -16,6 +16,23 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+/// The optimized layout a batch over `snap` routes through, or null for the
+/// raw path. The sq8 tier keeps codes in source order, so a snapshot with
+/// both falls back to the raw path (see serving_search_batch).
+const opt::ServingGraph* routed_layout(const GraphSnapshot& snap) {
+  return snap.sq8 != nullptr ? nullptr : snap.serving_layout();
+}
+
+/// Builds the search caches the routed path of `snap` reads, so the first
+/// batch on a freshly installed snapshot does not pay for them.
+void warm(const GraphSnapshot& snap, const core::SearchParams& params) {
+  if (const opt::ServingGraph* sg = routed_layout(snap)) {
+    core::warm_search_cache(*sg, params);
+  } else {
+    core::warm_search_cache(snap.base, snap.search_cache, params);
+  }
+}
+
 double us_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
@@ -63,6 +80,7 @@ ServeEngine::ServeEngine(ThreadPool& pool, ServeOptions options,
           with_serving_layout(*pool_, snap, options_.optimize_options));
     }
   }
+  warm(*slot_.current(), options_.search);
   workers_.reserve(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -132,6 +150,7 @@ void ServeEngine::publish(std::shared_ptr<const GraphSnapshot> next) {
     // the finished snapshot land atomically.
     next = with_serving_layout(*pool_, next, options_.optimize_options);
   }
+  warm(*next, options_.search);
   const std::uint64_t version = next->version;
   slot_.publish(std::move(next));
   metrics_.snapshots_published.add();
@@ -359,10 +378,8 @@ void ServeEngine::run_batch(std::vector<Request> batch) {
   // them. The view aliases `snap`, which this batch keeps pinned.
   const kernels::Sq8View sq8 = snap->sq8_view();
   // Optimized layout: route through the pruned, cache-blocked CSR when the
-  // snapshot carries one. The sq8 tier keeps codes in source order, so a
-  // snapshot with both falls back to the raw path (see serving_search_batch).
-  const opt::ServingGraph* layout =
-      sq8.valid() ? nullptr : snap->serving_layout();
+  // snapshot carries one.
+  const opt::ServingGraph* layout = routed_layout(*snap);
   if (span && layout != nullptr) {
     span->arg_num("optimized", std::uint64_t{1});
   }
@@ -380,7 +397,8 @@ void ServeEngine::run_batch(std::vector<Request> batch) {
                                         queries, tags, options_.search,
                                         &scratch_, nullptr,
                                         sq8.valid() ? &sq8 : nullptr,
-                                        snap->exclusion_mask());
+                                        snap->exclusion_mask(),
+                                        &snap->search_cache);
     }
   } catch (const std::exception& e) {
     // A failed batch (e.g. an injected LaunchAllocError) answers every

@@ -100,9 +100,12 @@ struct ServeOptions {
 /// past a request's deadline still returns the neighbors, marked kTimeout.
 ///
 /// Determinism: a request's neighbors are a pure function of (snapshot,
-/// query vector, search params, tag). With caller-assigned tags (see the
-/// loadgen) the same seed and config reproduce bit-identical per-request
-/// results for any worker count, batching, or timing.
+/// query vector, search params) — the same for any worker count, batching,
+/// timing or tag. Tags label requests (flight records, audits, SLO windows)
+/// and do not reach the search: every query scores the snapshot's one entry
+/// table (core::EntryTable), cached on the snapshot — or on its optimized
+/// layout — and warmed here at construction and in `publish`, off the query
+/// path.
 class ServeEngine {
  public:
   ServeEngine(ThreadPool& pool, ServeOptions options,
@@ -113,9 +116,9 @@ class ServeEngine {
   ServeEngine& operator=(const ServeEngine&) = delete;
 
   /// Enqueues one query (dimension must match the current snapshot).
-  /// `deadline_us` overrides the default (0 = use default); `tag` seeds the
-  /// query's RNG stream. The future always resolves — ok, timeout, shed, or
-  /// failed — it never throws on the serving path.
+  /// `deadline_us` overrides the default (0 = use default); `tag` labels the
+  /// request and does not affect its answer. The future always resolves —
+  /// ok, timeout, shed, or failed — it never throws on the serving path.
   std::future<QueryResult> submit(std::vector<float> query,
                                   std::uint64_t deadline_us, std::uint64_t tag);
 
@@ -123,7 +126,8 @@ class ServeEngine {
   std::future<QueryResult> submit(std::vector<float> query,
                                   std::uint64_t deadline_us = 0);
 
-  /// Atomically swaps the served snapshot (never null).
+  /// Atomically swaps the served snapshot (never null), after building its
+  /// layout (with `optimize`) and warming its search cache.
   void publish(std::shared_ptr<const GraphSnapshot> next);
   std::shared_ptr<const GraphSnapshot> snapshot() const {
     return slot_.current();

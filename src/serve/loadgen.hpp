@@ -24,9 +24,8 @@ namespace wknng::serve {
 ///    behind, which is what forces the deadline/shed paths under overload.
 ///
 /// Determinism: request i always carries tag i and query row i % queries.rows.
-/// Tags key the kernel's RNG streams, so the neighbors in every response are
-/// a pure function of (snapshot, config) — identical across runs, worker
-/// counts, and batch compositions. `LoadGenReport::result_hash` folds every
+/// The neighbors in every response are a pure function of (snapshot,
+/// config) — identical across runs, worker counts, and batch compositions. `LoadGenReport::result_hash` folds every
 /// response with a commutative combine, so equal hashes mean equal per-request
 /// results regardless of completion order.
 ///

@@ -9,6 +9,7 @@
 
 #include "common/knn_graph.hpp"
 #include "common/matrix.hpp"
+#include "core/entry_table.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/sq8.hpp"
 #include "opt/serving_graph.hpp"
@@ -60,6 +61,13 @@ struct GraphSnapshot {
   /// publish while the layout itself is rebuilt only on structural change.
   /// Null → the layout's own baked `exclude` applies.
   std::shared_ptr<const std::vector<std::uint8_t>> serving_exclude;
+
+  /// Base norms and entry tables of raw-path searches over this snapshot
+  /// (the layout path reads `serving`'s own cache). Built once per snapshot
+  /// — ServeEngine warms it when the snapshot is installed — and gone with
+  /// it, so a later snapshot of the same shape never sees stale norms. A
+  /// copied snapshot starts with an empty cache.
+  mutable core::SearchCache search_cache;
 
   GraphSnapshot() = default;
   GraphSnapshot(std::uint64_t v, FloatMatrix b, KnnGraph g)

@@ -93,14 +93,12 @@ KnnGraph ShardRouter::route_batch(const FloatMatrix& queries,
     const std::uint32_t s = routable_[r];
     const std::size_t dim = queries.cols();
     FloatMatrix sub(qs.size(), dim);
-    std::vector<std::uint64_t> tags(qs.size());
     for (std::size_t q = 0; q < qs.size(); ++q) {
       const auto src = queries.row(qs[q]);
       std::copy(src.begin(), src.end(), sub.row(q).begin());
-      tags[q] = qs[q];  // global batch index: batching-independent results
     }
     const core::BatchSearchResult found = core::graph_search_batch(
-        *pool_, build_->shard_bases[s], build_->shard_graphs[s], sub, tags,
+        *pool_, build_->shard_bases[s], build_->shard_graphs[s], sub, {},
         params_.search, scratch_[r].get());
     const std::vector<std::uint32_t>& locals = build_->partition.members[s];
     for (std::size_t q = 0; q < qs.size(); ++q) {

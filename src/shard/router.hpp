@@ -41,10 +41,10 @@ struct RouteStats {
 /// nearest shards' local graphs, translates local ids back to global ids,
 /// and k-way-merges the per-shard candidate lists into one sorted top-k row.
 ///
-/// Deterministic: per-shard searches tag each query with its global batch
-/// index (so results are batching-independent, same contract as serving),
-/// centroid ties break toward the smaller shard index, and merge ties break
-/// by (dist, id). Quarantined shards (empty local graph) are never probed —
+/// Deterministic: per-shard search answers are a pure function of (shard,
+/// params, query), so results are batching-independent (same contract as
+/// serving), centroid ties break toward the smaller shard index, and merge
+/// ties break by (dist, id). Quarantined shards (empty local graph) are never probed —
 /// their points are only reachable through stitched edges in the merged
 /// graph, not through the router.
 class ShardRouter {

@@ -87,14 +87,12 @@ StitchStats stitch_graph(ThreadPool& pool, const FloatMatrix& points,
     const std::vector<std::uint32_t>& qs = probes[t];
     if (qs.empty()) continue;
     FloatMatrix queries(qs.size(), dim);
-    std::vector<std::uint64_t> tags(qs.size());
     for (std::size_t q = 0; q < qs.size(); ++q) {
       const auto src = points.row(qs[q]);
       std::copy(src.begin(), src.end(), queries.row(q).begin());
-      tags[q] = qs[q];
     }
     const core::BatchSearchResult found = core::graph_search_batch(
-        pool, shard_bases[t], shard_graphs[t], queries, tags, sp, &scratch);
+        pool, shard_bases[t], shard_graphs[t], queries, {}, sp, &scratch);
     const std::vector<std::uint32_t>& locals = part.members[t];
     for (std::size_t q = 0; q < qs.size(); ++q) {
       const std::uint32_t i = qs[q];

@@ -31,8 +31,8 @@ struct StitchParams {
   std::size_t candidates = 0;
 
   /// Search knobs for the foreign-shard descent (k is overridden by
-  /// `candidates`; the tag is the point's global id, so results are a pure
-  /// function of the point — batching- and schedule-independent).
+  /// `candidates`; results are a pure function of the point — batching- and
+  /// schedule-independent).
   core::SearchParams search;
 };
 

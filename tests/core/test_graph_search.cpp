@@ -211,9 +211,9 @@ TEST(GraphSearch, StatsDeterministicAcrossThreadCounts) {
 }
 
 TEST(GraphSearch, TagKeyedResultsIndependentOfBatching) {
-  // The serving determinism contract: a query's result depends on its tag,
-  // not its position in the batch. Searching rows one at a time with their
-  // original row-index tags must reproduce the full-batch results.
+  // The serving determinism contract: a query's result does not depend on
+  // its position in the batch. Searching rows one at a time (tagged, as the
+  // engine does) must reproduce the full-batch results.
   Fixture f(900, 10, 12);
   SearchParams sp;
   sp.k = 6;

@@ -32,6 +32,13 @@ TEST_F(TiledBlockTest, ChunkDimsClampsToDim) {
   EXPECT_EQ(tiled_chunk_dims(48 * 1024, 16, 10), 16u);
 }
 
+TEST_F(TiledBlockTest, ChunkDimsBelowTheFloorIsTheWholeRow) {
+  // dim < 8 lies under the 8-dim chunk floor: the chunk is the whole row.
+  for (std::size_t dim = 1; dim < 8; ++dim) {
+    EXPECT_EQ(tiled_chunk_dims(48 * 1024, dim, 10), dim) << "dim " << dim;
+  }
+}
+
 TEST_F(TiledBlockTest, ChunkDimsThrowsOnTinyScratch) {
   EXPECT_THROW(tiled_chunk_dims(4 * 1024, 128, 10), Error);
 }

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "core/builder.hpp"
 #include "data/synthetic.hpp"
+#include "kernels/kernels.hpp"
 
 namespace wknng::serve {
 namespace {
@@ -84,6 +85,44 @@ TEST(OptEngine, InitialSnapshotIsOptimizedAndQueriesAreCounted) {
   engine.drain();
   EXPECT_EQ(engine.metrics().optimized_queries.value(), f.queries.rows());
   EXPECT_EQ(engine.metrics().queries.value(), f.queries.rows());
+}
+
+TEST(OptEngine, AnswersMatchDirectLayoutSearchWithAndWithoutCacheOnEveryBackend) {
+  // The engine reads the layout's warmed entry table; a copy of the layout
+  // starts with an empty cache and builds the table on its first call. Both
+  // must agree with the engine bit for bit — tags included, which no longer
+  // reach the answers — on the scalar and the default backend.
+  for (const kernels::Backend backend :
+       {kernels::Backend::kScalar, kernels::detect_backend()}) {
+    kernels::ScopedBackend scoped(backend);
+    Fixture f;
+    const ServeOptions so = f.options();
+    ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+    std::vector<std::future<QueryResult>> futs;
+    for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+      futs.push_back(engine.submit(f.query_vec(qi), 0, /*tag=*/900 + qi));
+    }
+    const opt::ServingGraph* sg = engine.snapshot()->serving_layout();
+    ASSERT_NE(sg, nullptr);
+    const core::BatchSearchResult warm =
+        core::serving_search_batch(f.pool, *sg, f.queries, {}, so.search);
+    const opt::ServingGraph cold = *sg;
+    const core::BatchSearchResult built =
+        core::serving_search_batch(f.pool, cold, f.queries, {}, so.search);
+    for (std::size_t qi = 0; qi < futs.size(); ++qi) {
+      const QueryResult qr = futs[qi].get();
+      f.expect_ok_row(qr);
+      ASSERT_EQ(qr.points_visited, warm.visits[qi]);
+      ASSERT_EQ(built.visits[qi], warm.visits[qi]);
+      const auto expect = warm.results.row(qi);
+      ASSERT_EQ(qr.neighbors.size(), expect.size());
+      for (std::size_t j = 0; j < expect.size(); ++j) {
+        ASSERT_EQ(qr.neighbors[j], expect[j])
+            << kernels::backend_name(backend) << " query " << qi;
+        ASSERT_EQ(built.results.row(qi)[j], expect[j]);
+      }
+    }
+  }
 }
 
 TEST(OptEngine, PublishedPlainSnapshotIsOptimizedBeforeTheSwap) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include "core/graph_search.hpp"
 #include "data/synthetic.hpp"
 #include "dynamic/dynamic_knng.hpp"
+#include "kernels/kernels.hpp"
 #include "simt/fault.hpp"
 #include "support/temp_dir.hpp"
 
@@ -71,8 +73,8 @@ TEST(ServeEngine, ServedResultsMatchDirectSearch) {
     futs.push_back(engine.submit(f.query_vec(qi), 0, /*tag=*/qi));
   }
 
-  // The wrapper seeds per-query streams by row index — identical to the tags
-  // above, so the engine must reproduce it bit-for-bit regardless of how the
+  // Answers are a pure function of (snapshot, params, query), so the engine
+  // must reproduce the direct search bit-for-bit regardless of how the
   // micro-batcher grouped the requests.
   const KnnGraph direct =
       core::graph_search(f.pool, f.base, f.graph, f.queries, so.search);
@@ -92,6 +94,87 @@ TEST(ServeEngine, ServedResultsMatchDirectSearch) {
   EXPECT_EQ(engine.metrics().ok.value(), f.queries.rows());
   EXPECT_EQ(engine.metrics().queries.value(), f.queries.rows());
   EXPECT_GE(engine.metrics().batches.value(), 1u);
+}
+
+TEST(ServeEngine, AnswersMatchDirectSearchWithAndWithoutCacheOnEveryBackend) {
+  // The engine reads the snapshot's cached entry table and norms; a direct
+  // call with no cache builds the table for itself. Both, and a direct call
+  // through its own cache, must agree bit for bit — tags included, which no
+  // longer reach the answers — on the scalar and the default backend.
+  for (const kernels::Backend backend :
+       {kernels::Backend::kScalar, kernels::detect_backend()}) {
+    kernels::ScopedBackend scoped(backend);
+    Fixture f;
+    const ServeOptions so = f.options();
+    ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+    std::vector<std::future<QueryResult>> futs;
+    for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+      futs.push_back(engine.submit(f.query_vec(qi), 0, /*tag=*/500 + 3 * qi));
+    }
+    const core::BatchSearchResult uncached = core::graph_search_batch(
+        f.pool, f.base, f.graph, f.queries, {}, so.search);
+    core::SearchCache cache;
+    const core::BatchSearchResult cached = core::graph_search_batch(
+        f.pool, f.base, f.graph, f.queries, {}, so.search, nullptr, nullptr,
+        nullptr, {}, &cache);
+    for (std::size_t qi = 0; qi < futs.size(); ++qi) {
+      const QueryResult qr = futs[qi].get();
+      ASSERT_EQ(qr.status, QueryStatus::kOk) << qr.error;
+      ASSERT_EQ(qr.points_visited, uncached.visits[qi]);
+      ASSERT_EQ(cached.visits[qi], uncached.visits[qi]);
+      const auto expect = uncached.results.row(qi);
+      ASSERT_EQ(qr.neighbors.size(), expect.size());
+      for (std::size_t j = 0; j < expect.size(); ++j) {
+        ASSERT_EQ(qr.neighbors[j], expect[j])
+            << kernels::backend_name(backend) << " query " << qi;
+        ASSERT_EQ(cached.results.row(qi)[j], expect[j]);
+      }
+    }
+  }
+}
+
+TEST(ServeEngine, RepublishedSameShapeSnapshotServesExactDistances) {
+  // Regression: base norms were once cached on the engine's scratch, keyed
+  // by row count alone, so after publishing a snapshot with the same rows x
+  // dim but different rows the SIMD backends scored the new rows with the
+  // old rows' norms (the scalar backend ignores norm caches). The norms now
+  // live on the snapshot they describe.
+  ThreadPool pool(4);
+  const std::size_t n = 4096;
+  const std::size_t dim = 32;
+  core::BuildParams bp;
+  bp.k = 10;
+  bp.num_trees = 4;
+  bp.refine_iters = 1;
+  const FloatMatrix a = data::make_clusters(n, dim, 16, 0.1f, 41);
+  FloatMatrix b = data::make_clusters(n, dim, 16, 0.1f, 43);
+  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] *= 3.0f;
+
+  ServeOptions so;
+  so.max_batch = 8;
+  so.search.k = 5;
+  ServeEngine engine(pool, so,
+                     make_snapshot(1, a, core::build_knng(pool, a, bp).graph));
+  auto ask = [&](const FloatMatrix& m, std::size_t row) {
+    const auto q = m.row(row);
+    return engine.submit({q.begin(), q.end()}).get();
+  };
+  for (std::size_t i = 0; i < 8; ++i) {
+    ASSERT_EQ(ask(a, 97 * i).status, QueryStatus::kOk);
+  }
+  engine.publish(make_snapshot(2, b, core::build_knng(pool, b, bp).graph));
+  for (std::size_t i = 0; i < 16; ++i) {
+    const std::size_t row = 251 * i % n;
+    const QueryResult qr = ask(b, row);
+    ASSERT_EQ(qr.status, QueryStatus::kOk) << qr.error;
+    ASSERT_EQ(qr.snapshot_version, 2u);
+    ASSERT_FALSE(qr.neighbors.empty());
+    for (const Neighbor& nb : qr.neighbors) {
+      const float exact = kernels::l2_serial(b.row(row), b.row(nb.id));
+      EXPECT_NEAR(nb.dist, exact, 1e-3f * std::max(1.0f, exact))
+          << "query row " << row << " neighbor " << nb.id;
+    }
+  }
 }
 
 TEST(ServeEngine, DeterministicAcrossWorkerCountsAndBatchSizes) {
