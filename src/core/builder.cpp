@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -180,6 +181,9 @@ void fill_quarantined_rows(KnnGraph& g,
 
 namespace {
 
+/// Held by a race-checked build for as long as its detector is installed.
+std::mutex g_checked_build_mutex;
+
 /// One top-level phase on the build track of a trace: begins a tracer phase
 /// at construction (so kernel launches attribute to it) and records a span
 /// carrying the phase duration plus the Stats delta it covered. All methods
@@ -240,6 +244,16 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
   WKNNG_CHECK_MSG(n > params_.k,
                   "need more points than k: n=" << n << " k=" << params_.k);
 
+  // One race detector at a time process-wide: concurrent checked builds (a
+  // shard campaign's workers) take turns, so every one of them is still
+  // checked. The turn is taken before the timers start, so the wait counts
+  // toward no phase and no deadline, and it is released only after the
+  // detector below is uninstalled.
+  std::unique_lock<std::mutex> checked_turn;
+  if (params_.check_races) {
+    checked_turn = std::unique_lock<std::mutex>(g_checked_build_mutex);
+  }
+
   BuildResult result;
   simt::StatsAccumulator acc;
   Timer total;
@@ -292,7 +306,7 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
   }
 
   // Opt-in shadow-state race checking for the whole build (one detector at
-  // a time process-wide; concurrent checked builds are not supported).
+  // a time process-wide; this build holds the checked-build turn).
   std::optional<simt::RaceDetector> detector;
   std::optional<simt::ScopedRaceDetection> detection;
   if (params_.check_races) {

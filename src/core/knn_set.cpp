@@ -67,7 +67,7 @@ void KnnSetArray::insert_basic(simt::Warp& w, std::uint32_t dst,
   std::uint64_t* slots = row(dst);
   const ScanResult scan = scan_slots(w, slots, k_, cand, /*atomic=*/false);
   if (!scan.duplicate && cand < scan.worst_value) {
-    simt::plain_store(slots[scan.worst_slot], cand);
+    simt::locked_store(slots[scan.worst_slot], cand);
     w.count_write(sizeof(std::uint64_t));
   }
   locks_.release(dst);

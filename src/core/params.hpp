@@ -114,8 +114,9 @@ struct BuildParams {
   /// Runs the whole build under the shadow-state race detector
   /// (simt/race.hpp) and reports flagged conflicts in
   /// BuildResult::races_detected. Also enabled by setting the
-  /// WKNNG_CHECK_RACES environment variable (CI hook). Expensive — debug
-  /// and CI only.
+  /// WKNNG_CHECK_RACES environment variable (CI hook). The detector is
+  /// process-wide, so concurrent checked builds run one at a time.
+  /// Expensive — debug and CI only.
   bool check_races = false;
 
   /// Deterministic fault-injection campaign for the whole build

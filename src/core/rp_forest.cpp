@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "kernels/kernels.hpp"
 #include "simt/launch.hpp"
 #include "simt/warp.hpp"
 
@@ -37,6 +38,23 @@ struct Chunk {
   std::uint32_t segment;  // index into the level's direction matrix
 };
 
+/// The projection kernel body, shared by both tree builds: one warp
+/// projects up to 32 rows `ids[0, count)` of `points` onto `dir` with one
+/// dot_batch call (candidate-parallel dot products), out[l] = x_ids[l] . dir.
+/// Charges the direction staged once per warp (shared-memory resident on
+/// HW), every row read and one float written per point.
+void project_warp(simt::Warp& w, const FloatMatrix& points,
+                  const std::uint32_t* ids, std::size_t count,
+                  const float* dir, float* out) {
+  const std::size_t dim = points.cols();
+  const float* rows[simt::kWarpSize];
+  for (std::size_t l = 0; l < count; ++l) rows[l] = points.row(ids[l]).data();
+  kernels::ops().dot_batch(dir, rows, count, dim, out);
+  w.stats().flops += 2 * dim * count;
+  w.count_read((count + 1) * dim * sizeof(float));
+  w.count_write(count * sizeof(float));
+}
+
 }  // namespace
 
 Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
@@ -62,14 +80,14 @@ Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
 
   std::size_t level = 0;
   while (!active.empty()) {
-    // Draw one Gaussian direction per active node. The stream id folds in
-    // (tree, level, node) so every split is an independent projection.
+    // Draw one Gaussian direction per active node, on the pool. The stream
+    // id folds in (tree, level, node), so every split is an independent
+    // projection and no draw depends on the order the nodes are visited.
     FloatMatrix dirs(active.size(), dim);
-    for (std::size_t s = 0; s < active.size(); ++s) {
+    pool.parallel_for(active.size(), [&](std::size_t s) {
       Rng rng(seed, (tree_index << 40) ^ (level << 20) ^ s);
-      auto d = dirs.row(s);
-      for (std::size_t j = 0; j < dim; ++j) d[j] = rng.next_gaussian();
-    }
+      for (float& v : dirs.row(s)) v = rng.next_gaussian();
+    });
 
     // Flatten the level into warp-sized chunks and project with one launch
     // (the level-synchronous GPU structure: one kernel per tree level).
@@ -87,35 +105,34 @@ Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
     config.trace_label = "rp_forest_level";
     simt::launch_warps(pool, chunks.size(), config, acc, [&](simt::Warp& w) {
       const Chunk& c = chunks[w.id()];
-      auto dir = dirs.row(c.segment);
-      // Direction is staged once per warp (shared-memory resident on HW).
-      w.count_read(dim * sizeof(float));
-      for (std::uint32_t l = 0; l < c.count; ++l) {
-        const std::uint32_t id = perm[c.perm_begin + l];
-        auto x = points.row(id);
-        float acc_dot = 0.0f;
-        for (std::size_t j = 0; j < dim; ++j) acc_dot += x[j] * dir[j];
-        // proj is keyed by point id (each point appears in exactly one
-        // active node per level, so there is no aliasing).
-        proj[id] = acc_dot;
-      }
-      w.stats().flops += 2 * dim * c.count;
-      w.count_read(static_cast<std::uint64_t>(c.count) * dim * sizeof(float));
-      w.count_write(static_cast<std::uint64_t>(c.count) * sizeof(float));
+      const std::uint32_t* ids = perm.data() + c.perm_begin;
+      float dots[simt::kWarpSize];
+      project_warp(w, points, ids, c.count, dirs.row(c.segment).data(), dots);
+      // proj is keyed by point id (each point appears in exactly one active
+      // node per level, so there is no aliasing).
+      for (std::uint32_t l = 0; l < c.count; ++l) proj[ids[l]] = dots[l];
     });
 
-    // Host split: exact balanced median split. nth_element partitions the
-    // node's ids around the positional median of their projections, so both
-    // children get floor/ceil(m/2) points even under duplicate projections —
-    // the tree depth is always ceil(log2(n / leaf_size)).
-    std::vector<Segment> next;
-    for (const Segment& seg : active) {
-      const std::uint32_t mid = seg.size() / 2;
+    // Split: exact balanced median split of every node, on the pool.
+    // nth_element partitions the node's ids around the positional median of
+    // their projections, so both children get floor/ceil(m/2) points even
+    // under duplicate projections — the tree depth is always
+    // ceil(log2(n / leaf_size)). Nodes are disjoint ranges of perm, so each
+    // split sees exactly the input a serial pass would give it.
+    pool.parallel_for(active.size(), [&](std::size_t s) {
+      const Segment& seg = active[s];
       auto begin = perm.begin() + seg.begin;
-      std::nth_element(begin, begin + mid, perm.begin() + seg.end,
+      std::nth_element(begin, begin + seg.size() / 2, perm.begin() + seg.end,
                        [&](std::uint32_t a, std::uint32_t b) {
                          return proj[a] < proj[b];
                        });
+    });
+
+    // Leaves are appended and the next level's nodes queued in node order,
+    // so the buckets do not depend on the pool.
+    std::vector<Segment> next;
+    for (const Segment& seg : active) {
+      const std::uint32_t mid = seg.size() / 2;
       const Segment left{seg.begin, seg.begin + mid};
       const Segment right{seg.begin + mid, seg.end};
       for (const Segment& child : {left, right}) {
@@ -137,14 +154,13 @@ Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
 
 namespace {
 
-/// Computes projections of `ids` onto `dir` with one SIMT launch (warp per
-/// 32-id chunk, candidate-parallel dot products). Shared by the spill-tree
+/// Computes projections of `ids` onto `dir` with one SIMT launch of the
+/// shared projection kernel (warp per 32-id chunk). Used by the spill-tree
 /// build, which cannot use the in-place permutation representation.
 std::vector<float> project_ids(ThreadPool& pool, const FloatMatrix& points,
                                std::span<const std::uint32_t> ids,
                                std::span<const float> dir,
                                simt::StatsAccumulator* acc) {
-  const std::size_t dim = points.cols();
   std::vector<float> proj(ids.size());
   const std::size_t num_chunks =
       (ids.size() + simt::kWarpSize - 1) / simt::kWarpSize;
@@ -154,16 +170,8 @@ std::vector<float> project_ids(ThreadPool& pool, const FloatMatrix& points,
     const std::size_t begin = static_cast<std::size_t>(w.id()) * simt::kWarpSize;
     const std::size_t cnt =
         std::min<std::size_t>(simt::kWarpSize, ids.size() - begin);
-    w.count_read(dim * sizeof(float));  // direction staged once per warp
-    for (std::size_t l = 0; l < cnt; ++l) {
-      auto x = points.row(ids[begin + l]);
-      float acc_dot = 0.0f;
-      for (std::size_t j = 0; j < dim; ++j) acc_dot += x[j] * dir[j];
-      proj[begin + l] = acc_dot;
-    }
-    w.stats().flops += 2 * dim * cnt;
-    w.count_read(cnt * dim * sizeof(float));
-    w.count_write(cnt * sizeof(float));
+    project_warp(w, points, ids.data() + begin, cnt, dir.data(),
+                 proj.data() + begin);
   });
   return proj;
 }

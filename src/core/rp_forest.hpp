@@ -38,15 +38,18 @@ struct Buckets {
 
 /// Builds one random-projection tree over `points` and returns its leaves.
 ///
-/// Construction is level-synchronous, mirroring the GPU formulation: at each
-/// level every oversized node draws a random Gaussian direction, a single
-/// SIMT launch computes the projections of all points of all active nodes
-/// (one warp per 32-point chunk, candidate-parallel dot products), and the
-/// host splits each node at its median projection (exact balanced split via
-/// nth_element). Nodes at or below `leaf_size` become buckets.
+/// Construction is level-synchronous, mirroring the GPU formulation: each
+/// level runs as one parallel step. Every oversized node draws a random
+/// Gaussian direction (nodes in parallel on the pool), a single SIMT launch
+/// computes the projections of all points of all active nodes (one warp per
+/// 32-point chunk, one kernels::dot_batch call), and the pool splits every
+/// node at its median projection (exact balanced split via nth_element, one
+/// task per node). Nodes at or below `leaf_size` become buckets, appended in
+/// node order.
 ///
 /// Determinism: directions depend only on (seed, tree_index, level, node),
-/// so the same inputs always give the same tree.
+/// and nodes are disjoint ranges split independently, so the same inputs
+/// and kernel backend give the same tree for every pool size.
 Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
                       std::size_t leaf_size, std::uint64_t seed,
                       std::size_t tree_index,

@@ -11,6 +11,9 @@
 //             using the ||x||^2 + ||y||^2 - 2 x.y decomposition with cached
 //             squared norms on the SIMD backends
 //
+// plus dot_batch, the l2_batch shape for inner products: one random
+// direction against a warp's rows (the RP-forest projection).
+//
 // The table also carries the same three shapes for the SQ8 compressed tier
 // (sq8_l2_one / sq8_l2_batch / sq8_l2_tile, plus the sq8_term cache
 // accumulation) — asymmetric fp32-query x u8-code distances that cut the
@@ -89,6 +92,13 @@ struct KernelOps {
                   std::size_t na, const float* const* b_rows,
                   const float* b_norms, std::size_t nb, std::size_t dim,
                   float* out, std::size_t ld);
+
+  /// One direction against `count` rows; out[i] = rows[i] . dir. The scalar
+  /// implementation is the serial `acc += x[j] * dir[j]` loop (no FMA) the
+  /// RP forest projected with before dispatch; the SIMD backends use their
+  /// shared dot core, so a row's bits do not depend on `count`.
+  void (*dot_batch)(const float* dir, const float* const* rows,
+                    std::size_t count, std::size_t dim, float* out);
 
   /// Squared Euclidean norm; the accumulation every norm cache is built with.
   float (*norm_sq)(const float* x, std::size_t dim);

@@ -59,6 +59,38 @@ inline float dot(const float* x, const float* y, std::size_t dim) {
   return res;
 }
 
+/// 1x4 register block: `a` broadcast against four rows b[0..3], four
+/// independent FMA chains. Each chain follows exactly the dot() sequence, so
+/// the bits match the unblocked primitives pair-for-pair.
+inline void dot4(const float* a, const float* const* b, std::size_t dim,
+                 float* out) {
+  const float* b0 = b[0];
+  const float* b1 = b[1];
+  const float* b2 = b[2];
+  const float* b3 = b[3];
+  __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+  __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+  const std::size_t blocks = dim & ~(kVec - 1);
+  for (std::size_t d = 0; d < blocks; d += kVec) {
+    const __m256 av = _mm256_loadu_ps(a + d);
+    acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + d), acc0);
+    acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + d), acc1);
+    acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + d), acc2);
+    acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + d), acc3);
+  }
+  float d0 = hsum(acc0), d1 = hsum(acc1), d2 = hsum(acc2), d3 = hsum(acc3);
+  for (std::size_t d = blocks; d < dim; ++d) {
+    d0 = std::fmaf(a[d], b0[d], d0);
+    d1 = std::fmaf(a[d], b1[d], d1);
+    d2 = std::fmaf(a[d], b2[d], d2);
+    d3 = std::fmaf(a[d], b3[d], d3);
+  }
+  out[0] = d0;
+  out[1] = d1;
+  out[2] = d2;
+  out[3] = d3;
+}
+
 /// Norm-trick epilogue; 2*d is exact, so contraction cannot change the bits,
 /// and the clamp keeps cancellation from going (tiny) negative.
 inline float l2_from(float nx, float ny, float d) {
@@ -97,44 +129,28 @@ void avx2_l2_tile(const float* const* a_rows, const float* a_norms,
     for (std::size_t j = 0; j < nb; ++j) buf[j] = avx2_norm_sq(b_rows[j], dim);
     bn = buf;
   }
-  const std::size_t blocks = dim & ~(kVec - 1);
   for (std::size_t i = 0; i < na; ++i) {
     const float* a = a_rows[i];
     const float nx = a_norms != nullptr ? a_norms[i] : avx2_norm_sq(a, dim);
     std::size_t j = 0;
-    // 1x4 register block: one A row broadcast against four B rows, four
-    // independent FMA chains. Each chain follows exactly the dot() sequence,
-    // so the bits match the unblocked primitives pair-for-pair.
     for (; j + 4 <= nb; j += 4) {
-      const float* b0 = b_rows[j];
-      const float* b1 = b_rows[j + 1];
-      const float* b2 = b_rows[j + 2];
-      const float* b3 = b_rows[j + 3];
-      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
-      for (std::size_t d = 0; d < blocks; d += kVec) {
-        const __m256 av = _mm256_loadu_ps(a + d);
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + d), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + d), acc1);
-        acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + d), acc2);
-        acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + d), acc3);
+      float d[4];
+      dot4(a, b_rows + j, dim, d);
+      for (std::size_t c = 0; c < 4; ++c) {
+        out[i * ld + j + c] = l2_from(nx, bn[j + c], d[c]);
       }
-      float d0 = hsum(acc0), d1 = hsum(acc1), d2 = hsum(acc2), d3 = hsum(acc3);
-      for (std::size_t d = blocks; d < dim; ++d) {
-        d0 = std::fmaf(a[d], b0[d], d0);
-        d1 = std::fmaf(a[d], b1[d], d1);
-        d2 = std::fmaf(a[d], b2[d], d2);
-        d3 = std::fmaf(a[d], b3[d], d3);
-      }
-      out[i * ld + j] = l2_from(nx, bn[j], d0);
-      out[i * ld + j + 1] = l2_from(nx, bn[j + 1], d1);
-      out[i * ld + j + 2] = l2_from(nx, bn[j + 2], d2);
-      out[i * ld + j + 3] = l2_from(nx, bn[j + 3], d3);
     }
     for (; j < nb; ++j) {
       out[i * ld + j] = l2_from(nx, bn[j], dot(a, b_rows[j], dim));
     }
   }
+}
+
+void avx2_dot_batch(const float* dir, const float* const* rows,
+                    std::size_t count, std::size_t dim, float* out) {
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) dot4(dir, rows + i, dim, out + i);
+  for (; i < count; ++i) out[i] = dot(dir, rows[i], dim);
 }
 
 bool avx2_has_nonfinite(const float* x, std::size_t count) {
@@ -159,8 +175,9 @@ bool avx2_has_nonfinite(const float* x, std::size_t count) {
 }
 
 constexpr KernelOps kAvx2Ops = {
-    Backend::kAvx2, "avx2",        avx2_l2_pair, avx2_l2_pair,
-    avx2_l2_batch,  avx2_l2_tile,  avx2_norm_sq, avx2_has_nonfinite,
+    Backend::kAvx2, "avx2",        avx2_l2_pair,   avx2_l2_pair,
+    avx2_l2_batch,  avx2_l2_tile,  avx2_dot_batch, avx2_norm_sq,
+    avx2_has_nonfinite,
     detail::sq8_avx2_one,  detail::sq8_avx2_batch,
     detail::sq8_avx2_tile, detail::sq8_avx2_term,
 };

@@ -60,6 +60,18 @@ void scalar_l2_tile(const float* const* a_rows, const float* /*a_norms*/,
   }
 }
 
+/// Serial order, no FMA (this TU is built without it): the RP forest's
+/// pre-dispatch projection loop.
+void scalar_dot_batch(const float* dir, const float* const* rows,
+                      std::size_t count, std::size_t dim, float* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const float* x = rows[i];
+    float acc = 0.0f;
+    for (std::size_t j = 0; j < dim; ++j) acc += x[j] * dir[j];
+    out[i] = acc;
+  }
+}
+
 float scalar_norm_sq(const float* x, std::size_t dim) {
   float acc = 0.0f;
   for (std::size_t d = 0; d < dim; ++d) acc += x[d] * x[d];
@@ -76,7 +88,7 @@ bool scalar_has_nonfinite(const float* x, std::size_t count) {
 constexpr KernelOps kScalarOps = {
     Backend::kScalar,     "scalar",        scalar_l2_one,
     scalar_l2_serial,     scalar_l2_batch, scalar_l2_tile,
-    scalar_norm_sq,       scalar_has_nonfinite,
+    scalar_dot_batch,     scalar_norm_sq,  scalar_has_nonfinite,
     detail::sq8_scalar_one, detail::sq8_scalar_batch,
     detail::sq8_scalar_tile, detail::sq8_scalar_term,
 };

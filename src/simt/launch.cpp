@@ -1,5 +1,9 @@
 #include "simt/launch.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
 #include <optional>
 
 #include "obs/trace.hpp"
@@ -49,6 +53,30 @@ class FaultWarpBinding {
   FaultInjector* inj_;
 };
 
+/// The Stats of the warps one thread ran in one launch, added to the
+/// launch's accumulator once, when the thread leaves the launch (normally or
+/// by exception). Stats merge by integer sums and a max, so the totals equal
+/// a per-warp flush while the accumulator's mutex is taken once per thread
+/// instead of once per warp.
+class ThreadTotal {
+ public:
+  explicit ThreadTotal(StatsAccumulator* acc) : acc_(acc) {}
+  ~ThreadTotal() {
+    if (acc_ != nullptr && sum_.warps_executed != 0) acc_->flush(sum_);
+  }
+
+  ThreadTotal(const ThreadTotal&) = delete;
+  ThreadTotal& operator=(const ThreadTotal&) = delete;
+
+  void add(const Stats& warp) {
+    if (acc_ != nullptr) sum_ += warp;
+  }
+
+ private:
+  StatsAccumulator* acc_;
+  Stats sum_;
+};
+
 }  // namespace
 
 void launch_warps(ThreadPool& pool, std::size_t num_warps,
@@ -82,7 +110,7 @@ void launch_warps(ThreadPool& pool, std::size_t num_warps,
     launch_span->arg_num("num_warps", static_cast<std::uint64_t>(num_warps));
   }
 
-  const auto run_one = [&](std::size_t warp_id) {
+  const auto run_one = [&](std::size_t warp_id, ThreadTotal& total) {
     WarpScratch& scratch = thread_scratch(config.scratch_bytes);
     scratch.reset();
     scratch.reset_peak();
@@ -119,20 +147,46 @@ void launch_warps(ThreadPool& pool, std::size_t num_warps,
       ws->finish();
     }
 
-    if (acc != nullptr) acc->flush(local);
+    total.add(local);
   };
 
   if (!is_deterministic(config.schedule)) {
-    pool.parallel_for(num_warps, config.grain, run_one);
+    // One task per pool thread, each claiming `grain` consecutive warp ids
+    // at a time from the launch's cursor until the grid is drained — the
+    // pool's own dynamic claiming, with the thread's Stats kept across its
+    // warps. As in the pool, a throwing warp skips the rest of its claimed
+    // block, the other blocks still run, and the first error is rethrown.
+    const std::size_t grain = std::max<std::size_t>(1, config.grain);
+    const std::size_t blocks = (num_warps + grain - 1) / grain;
+    std::atomic<std::size_t> cursor{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    pool.parallel_for(std::min(pool.thread_count(), blocks), [&](std::size_t) {
+      ThreadTotal total(acc);
+      for (;;) {
+        const std::size_t begin =
+            cursor.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= num_warps) return;
+        const std::size_t end = std::min(begin + grain, num_warps);
+        try {
+          for (std::size_t w = begin; w < end; ++w) run_one(w, total);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+        }
+      }
+    });
+    if (error) std::rethrow_exception(error);
     return;
   }
   // Deterministic replay: the policy's order, one warp at a time on the
   // calling thread. Shadow state still flags lock-discipline violations
   // (detection is access-set based, not interleaving based), and any
   // order-dependence of the kernel's result reproduces on every run.
+  ThreadTotal total(acc);
   for (const std::size_t warp_id :
        schedule_order(num_warps, config.grain, config.schedule)) {
-    run_one(warp_id);
+    run_one(warp_id, total);
   }
 }
 

@@ -33,9 +33,11 @@ struct LaunchConfig {
 /// claimed dynamically (like greedy-then-oldest hardware scheduling, this
 /// absorbs the skewed leaf sizes of an RP forest). Each worker thread owns a
 /// persistent WarpScratch (its shared-memory partition) that is reset before
-/// every warp task. Per-warp Stats are accumulated locally and flushed once
-/// per warp into `acc` (if non-null), so instrumentation does not perturb
-/// the measured kernels.
+/// every warp task. Each warp counts into its own Stats (what race/fault
+/// bindings and per-warp trace spans see); a thread sums the Stats of the
+/// warps it ran and flushes the sum into `acc` (if non-null) once per
+/// launch, so instrumentation takes the accumulator's lock once per thread,
+/// not once per warp. A warp that throws contributes nothing.
 ///
 /// With a deterministic SchedulePolicy the warps are instead replayed one at
 /// a time on the calling thread in the policy's order — the schedule fuzzer:

@@ -91,6 +91,17 @@ inline void plain_store(T& cell, T value) {
   cell = value;
 }
 
+/// Store to a cell whose lock keeps other writers out but which unlocked
+/// warps may read with atomic_load (a k-NN-set slot). The detector sees the
+/// plain write that the lock discipline governs; the store itself is a
+/// relaxed atomic, so those readers are not a data race in the host memory
+/// model (on x86 it is the same mov as plain_store).
+template <typename T>
+inline void locked_store(T& cell, T value) {
+  race_on_access(&cell, AccessKind::kPlainWrite);
+  std::atomic_ref<T>(cell).store(value, std::memory_order_relaxed);
+}
+
 /// Declares a plain read of `count` consecutive cells starting at `base`
 /// (for block transfers where per-element accessor calls would obscure the
 /// kernel). The data itself is accessed by the caller.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -65,7 +66,12 @@ inline void merge_sorted_run(Warp& w, std::span<T> list, const Lanes<T>& run,
     have_prev = true;
   }
   while (out < k) tmp[out++] = pad;
-  for (std::size_t i = 0; i < k; ++i) list[i] = tmp[i];
+  // The writeback happens under the row's lock, but other warps read the
+  // row without it (KnnSetArray::peek_worst_sorted, snapshot_ids), so each
+  // word is stored as a relaxed atomic: the same mov on x86, no data race.
+  for (std::size_t i = 0; i < k; ++i) {
+    std::atomic_ref<T>(list[i]).store(tmp[i], std::memory_order_relaxed);
+  }
 }
 
 /// Warp-cooperative sort of a scratch array (ascending). On hardware this

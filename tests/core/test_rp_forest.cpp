@@ -4,16 +4,86 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/builder.hpp"
 #include "data/synthetic.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/recall.hpp"
+#include "kernels/kernels.hpp"
 
 namespace wknng::core {
 namespace {
+
+/// The forest as it was built before levels ran on the pool, kept as the
+/// reference: serial direction draws, the serial projection loop
+/// (`acc += x[j] * dir[j]`, no FMA — tests are built without it) and one
+/// nth_element after another. Under the scalar backend the pooled build must
+/// reproduce it bit for bit.
+Buckets serial_reference_tree(const FloatMatrix& points, std::size_t leaf_size,
+                              std::uint64_t seed, std::size_t tree_index) {
+  const std::size_t n = points.rows();
+  const std::size_t dim = points.cols();
+  std::vector<std::uint32_t> perm(n);
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::vector<float> proj(n, 0.0f);
+  Buckets out;
+  if (n <= leaf_size) {
+    out.ids = perm;
+    out.offsets.push_back(static_cast<std::uint32_t>(n));
+    return out;
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> active{
+      {0u, static_cast<std::uint32_t>(n)}};
+  for (std::size_t level = 0; !active.empty(); ++level) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> next;
+    for (std::size_t s = 0; s < active.size(); ++s) {
+      Rng rng(seed, (tree_index << 40) ^ (level << 20) ^ s);
+      std::vector<float> dir(dim);
+      for (float& v : dir) v = rng.next_gaussian();
+      const auto [b, e] = active[s];
+      for (std::uint32_t i = b; i < e; ++i) {
+        auto x = points.row(perm[i]);
+        float acc = 0.0f;
+        for (std::size_t j = 0; j < dim; ++j) acc += x[j] * dir[j];
+        proj[perm[i]] = acc;
+      }
+    }
+    for (const auto& [b, e] : active) {
+      const std::uint32_t mid = (e - b) / 2;
+      std::nth_element(perm.begin() + b, perm.begin() + b + mid,
+                       perm.begin() + e, [&](std::uint32_t x, std::uint32_t y) {
+                         return proj[x] < proj[y];
+                       });
+      for (const auto& child : {std::pair{b, b + mid}, std::pair{b + mid, e}}) {
+        if (child.second - child.first <= leaf_size) {
+          out.ids.insert(out.ids.end(), perm.begin() + child.first,
+                         perm.begin() + child.second);
+          out.offsets.push_back(static_cast<std::uint32_t>(out.ids.size()));
+        } else {
+          next.push_back(child);
+        }
+      }
+    }
+    active = std::move(next);
+  }
+  return out;
+}
+
+std::vector<kernels::Backend> available_backends() {
+  std::vector<kernels::Backend> out;
+  for (const kernels::Backend b :
+       {kernels::Backend::kScalar, kernels::Backend::kSse2,
+        kernels::Backend::kAvx2}) {
+    if (kernels::ops_for(b) != nullptr) out.push_back(b);
+  }
+  return out;
+}
 
 /// Every tree must partition the point set: each id appears exactly once.
 void expect_partition(const Buckets& b, std::size_t n) {
@@ -134,6 +204,99 @@ TEST(RpForest, ConcatenatesAllTrees) {
   std::vector<int> seen(200, 0);
   for (std::uint32_t id : f.ids) ++seen[id];
   for (int c : seen) EXPECT_EQ(c, 4);
+}
+
+TEST(RpForest, ScalarForestMatchesSerialReferenceBitForBit) {
+  kernels::ScopedBackend strict(kernels::Backend::kScalar);
+  ThreadPool pool(4);
+  // Shapes straddle the 32-point warp chunk and the SIMD widths; the
+  // duplicated rows give equal projections, which the positional median
+  // must split exactly as the serial pass did.
+  FloatMatrix dup = data::make_clusters(700, 9, 6, 0.2f, 8);
+  for (std::size_t r = 0; r < 100; ++r) {
+    std::copy(dup.row(r).begin(), dup.row(r).end(), dup.row(r + 300).begin());
+  }
+  const FloatMatrix shapes[] = {data::make_clusters(2000, 16, 16, 0.1f, 4),
+                                data::make_uniform(1500, 33, 12), dup};
+  for (const FloatMatrix& pts : shapes) {
+    for (const std::size_t leaf : {24u, 64u}) {
+      Buckets expect;
+      for (std::size_t t = 0; t < 3; ++t) {
+        const Buckets tree = serial_reference_tree(pts, leaf, 77, t);
+        if (t == 0) {
+          expect = tree;
+        } else {
+          expect.append(tree);
+        }
+      }
+      const Buckets got = build_rp_forest(pool, pts, 3, leaf, 77);
+      EXPECT_EQ(got.ids, expect.ids) << pts.cols() << "d leaf " << leaf;
+      EXPECT_EQ(got.offsets, expect.offsets) << pts.cols() << "d leaf " << leaf;
+    }
+  }
+}
+
+TEST(RpForest, IdenticalForEveryPoolSizeOnEveryBackend) {
+  const FloatMatrix pts = data::make_clusters(3000, 20, 12, 0.1f, 6);
+  for (const kernels::Backend b : available_backends()) {
+    kernels::ScopedBackend use(b);
+    std::optional<Buckets> first;
+    std::optional<Buckets> first_spill;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      const Buckets f = build_rp_forest(pool, pts, 4, 40, 5);
+      const Buckets s = build_rp_forest(pool, pts, 2, 40, 5, nullptr, 0.1f);
+      if (!first) {
+        first = f;
+        first_spill = s;
+        continue;
+      }
+      const std::string where = std::string(kernels::backend_name(b)) +
+                                " threads " + std::to_string(threads);
+      EXPECT_EQ(f.ids, first->ids) << where;
+      EXPECT_EQ(f.offsets, first->offsets) << where;
+      EXPECT_EQ(s.ids, first_spill->ids) << where << " spill";
+      EXPECT_EQ(s.offsets, first_spill->offsets) << where << " spill";
+    }
+  }
+}
+
+TEST(RpForest, BuiltGraphIdenticalForEveryPoolSizeAndSchedule) {
+  // The forest inside a build: the tiled graph (order-independent given its
+  // buckets) must not move with the pool size or a deterministic replay of
+  // the build's other kernels, on any backend.
+  const FloatMatrix pts = data::make_clusters(400, 20, 6, 0.15f, 21);
+  BuildParams params;
+  params.k = 8;
+  params.strategy = Strategy::kTiled;
+  params.num_trees = 3;
+  params.leaf_size = 40;
+  params.refine_iters = 1;
+  std::vector<simt::ScheduleSpec> schedules{simt::ScheduleSpec{}};
+  for (const simt::ScheduleSpec& s : simt::fuzzing_schedules(1)) {
+    schedules.push_back(s);
+  }
+  for (const kernels::Backend b : available_backends()) {
+    kernels::ScopedBackend use(b);
+    std::optional<KnnGraph> first;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      for (const simt::ScheduleSpec& spec : schedules) {
+        params.schedule = spec;
+        KnnGraph g = build_knng(pool, pts, params).graph;
+        if (!first) {
+          first = std::move(g);
+          continue;
+        }
+        for (std::size_t p = 0; p < pts.rows(); ++p) {
+          ASSERT_TRUE(std::ranges::equal(g.row(p), first->row(p)))
+              << kernels::backend_name(b) << " threads " << threads << " "
+              << simt::schedule_policy_name(spec.policy) << "/" << spec.seed
+              << " row " << p;
+        }
+      }
+    }
+  }
 }
 
 TEST(RpForest, StatsAreAccumulated) {

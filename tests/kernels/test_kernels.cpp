@@ -53,6 +53,14 @@ float ref_l2_lanes(const float* x, const float* y, std::size_t dim) {
   return acc;
 }
 
+/// The RP forest's pre-dispatch projection loop: x . dir, serial, no FMA
+/// (tests are built without -mfma, so the expression cannot contract).
+float ref_dot_serial(const float* x, const float* dir, std::size_t dim) {
+  float acc = 0.0f;
+  for (std::size_t j = 0; j < dim; ++j) acc += x[j] * dir[j];
+  return acc;
+}
+
 FloatMatrix random_rows(std::size_t n, std::size_t dim, std::uint64_t seed) {
   FloatMatrix m(n, dim);
   Rng rng(seed, 5);
@@ -132,6 +140,73 @@ TEST(KernelStrict, SerialPrimitivesMatchSerialReference) {
     scalar.l2_tile(&x, nullptr, 1, rows, nullptr, 2, dim, tile, 2);
     EXPECT_EQ(tile[0], ref) << dim;
     EXPECT_EQ(tile[1], out[1]) << dim;
+  }
+}
+
+TEST(KernelStrict, DotBatchMatchesSerialProjectionLoop) {
+  const KernelOps& scalar = *ops_for(Backend::kScalar);
+  for (const std::size_t dim : kDims) {
+    const FloatMatrix m = random_rows(33, dim, 250 + dim);
+    const float* dir = m.row(32).data();
+    const float* rows[32];
+    for (std::size_t r = 0; r < 32; ++r) rows[r] = m.row(r).data();
+    float out[32];
+    scalar.dot_batch(dir, rows, 32, dim, out);
+    for (std::size_t r = 0; r < 32; ++r) {
+      EXPECT_EQ(out[r], ref_dot_serial(rows[r], dir, dim))
+          << "dim " << dim << " row " << r;
+    }
+  }
+}
+
+TEST(KernelEquivalence, DotBatchAgreesAcrossBackendsWithinTolerance) {
+  // A dot product may cancel, so the tolerance scales with sum |x_j dir_j|
+  // (the magnitude every reordering's rounding error is bounded by).
+  for (const Backend b : available_backends()) {
+    const KernelOps& k = *ops_for(b);
+    for (const std::size_t dim : kDims) {
+      const FloatMatrix m = random_rows(33, dim, 350 + dim);
+      const float* dir = m.row(32).data();
+      const float* rows[32];
+      for (std::size_t r = 0; r < 32; ++r) rows[r] = m.row(r).data();
+      float out[32];
+      k.dot_batch(dir, rows, 32, dim, out);
+      for (std::size_t r = 0; r < 32; ++r) {
+        float scale = 0.0f;
+        for (std::size_t j = 0; j < dim; ++j) {
+          scale += std::fabs(rows[r][j] * dir[j]);
+        }
+        EXPECT_NEAR(out[r], ref_dot_serial(rows[r], dir, dim),
+                    1e-4f * std::max(1.0f, scale))
+            << k.name << " dim " << dim << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, DotBatchRowBitsDoNotDependOnCount) {
+  // Every count from 1 to 33 exercises the 4-row register block and its
+  // remainder; each row must equal the single-row call bit for bit.
+  for (const Backend b : available_backends()) {
+    const KernelOps& k = *ops_for(b);
+    for (const std::size_t dim : kDims) {
+      const FloatMatrix m = random_rows(34, dim, 450 + dim);
+      const float* dir = m.row(33).data();
+      const float* rows[33];
+      for (std::size_t r = 0; r < 33; ++r) rows[r] = m.row(r).data();
+      float single[33];
+      for (std::size_t r = 0; r < 33; ++r) {
+        k.dot_batch(dir, rows + r, 1, dim, single + r);
+      }
+      for (std::size_t count = 1; count <= 33; ++count) {
+        float out[33];
+        k.dot_batch(dir, rows, count, dim, out);
+        for (std::size_t r = 0; r < count; ++r) {
+          EXPECT_EQ(out[r], single[r])
+              << k.name << " dim " << dim << " count " << count << " row " << r;
+        }
+      }
+    }
   }
 }
 

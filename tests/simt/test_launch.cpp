@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <vector>
 
 namespace wknng::simt {
@@ -80,6 +81,75 @@ TEST(Launch, ExceptionsPropagate) {
                               if (w.id() == 5) throw Error("kernel fault");
                             }),
                Error);
+}
+
+TEST(Launch, AccumulatedTotalsEqualSumOfPerWarpStats) {
+  // Each warp charges counters that are a function of its id; warps with
+  // id % 7 == 3 throw. The accumulator must hold exactly the sum (and the
+  // scratch max) of the warps that completed, whatever thread ran them.
+  constexpr std::size_t kWarps = 500;
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const std::size_t grain : {1u, 3u}) {
+      for (const bool throwing : {false, true}) {
+        ThreadPool pool(threads);
+        StatsAccumulator acc;
+        std::vector<std::atomic<bool>> completed(kWarps);
+        LaunchConfig config;
+        config.grain = grain;
+        const auto launch = [&] {
+          launch_warps(pool, kWarps, config, &acc, [&](Warp& w) {
+            const std::uint64_t id = w.id();
+            w.count_read(id + 1);
+            w.count_write(2 * id);
+            w.stats().flops += 3 * id + 1;
+            w.stats().cas_retries += id % 5;
+            (void)w.scratch().alloc<std::uint8_t>(8 * (id % 11) + 8);
+            if (throwing && id % 7 == 3) throw Error("warp fault");
+            completed[id].store(true);
+          });
+        };
+        if (throwing) {
+          EXPECT_THROW(launch(), Error);
+        } else {
+          launch();
+        }
+
+        Stats expect;
+        for (std::uint64_t id = 0; id < kWarps; ++id) {
+          if (!completed[id].load()) continue;
+          Stats s;
+          s.global_reads = id + 1;
+          s.global_writes = 2 * id;
+          s.flops = 3 * id + 1;
+          s.cas_retries = id % 5;
+          s.scratch_bytes_peak = 8 * (id % 11) + 8;
+          s.warps_executed = 1;
+          expect += s;
+        }
+        const Stats got = acc.total();
+        const std::string where = "threads " + std::to_string(threads) +
+                                  " grain " + std::to_string(grain) +
+                                  (throwing ? " throwing" : "");
+        EXPECT_EQ(got.to_json(), expect.to_json()) << where;
+        if (!throwing) EXPECT_EQ(got.warps_executed, kWarps) << where;
+      }
+    }
+  }
+}
+
+TEST(Launch, DeterministicReplayTotalsIncludeWarpsBeforeAThrow) {
+  ThreadPool pool(2);
+  StatsAccumulator acc;
+  LaunchConfig config;
+  config.schedule.policy = SchedulePolicy::kSequential;
+  EXPECT_THROW(launch_warps(pool, 10, config, &acc,
+                            [&](Warp& w) {
+                              if (w.id() == 6) throw Error("warp fault");
+                              w.stats().flops += 1;
+                            }),
+               Error);
+  EXPECT_EQ(acc.total().warps_executed, 6u);
+  EXPECT_EQ(acc.total().flops, 6u);
 }
 
 TEST(StatsAccumulator, ResetClearsTotals) {
