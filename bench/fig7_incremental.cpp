@@ -1,13 +1,21 @@
 // Fig. 7 (extension) — incremental insertion versus full rebuild.
 //
 // The paper builds graphs in one batch; this extension experiment measures
-// the online mode (core/incremental.hpp): starting from a built graph over
-// (1 - f) of the points, insert the remaining fraction f by warp-centric
-// graph descent, and compare cost and inserted-point recall against
-// rebuilding from scratch.
+// online insertion through the mutable index (dynamic/dynamic_knng.hpp):
+// starting from a graph built over (1 - f) of the points, insert the
+// remaining fraction f as one batch (search-then-connect: the shared
+// warp-per-query search kernel finds each new point's neighbors, then
+// forward and reverse edges are pushed into the k-sets), and compare cost
+// and inserted-point recall against rebuilding from scratch. The timed
+// insert includes the index's WAL append and snapshot publication; threshold
+// maintenance is off, so no repair pass rides along.
+
+#include <unistd.h>
+
+#include <filesystem>
 
 #include "bench_common.hpp"
-#include "core/incremental.hpp"
+#include "dynamic/dynamic_knng.hpp"
 
 namespace wknng::bench {
 namespace {
@@ -41,16 +49,24 @@ void BM_InsertBatch(benchmark::State& state) {
   const FloatMatrix initial = rows_slice(pts, 0, initial_n);
   const FloatMatrix batch = rows_slice(pts, initial_n, kN);
 
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("wknng_fig7_" + std::to_string(::getpid()));
+  dynamic::DynamicParams dp;
+  dp.auto_maintain = false;
+
   double recall = 0.0;
   for (auto _ : state) {
     state.PauseTiming();  // the pre-build is not what this row measures
-    core::IncrementalKnng inc(pool(), base_params(), initial);
+    std::filesystem::remove_all(dir);
+    dynamic::DynamicKnng dyn(pool(), base_params(), initial, dir.string(), dp);
     state.ResumeTiming();
-    inc.add_batch(batch);
+    dyn.insert(batch);
     state.PauseTiming();
-    recall = sampled_recall(inc.graph(), kSpec, kK);
+    // No deletes: internal ids are the dataset's row ids.
+    recall = sampled_recall(dyn.snapshot()->graph, kSpec, kK);
     state.ResumeTiming();
   }
+  std::filesystem::remove_all(dir);
   state.SetLabel("insert");
   state.counters["batch_pct"] = static_cast<double>(pct);
   state.counters["recall"] = recall;

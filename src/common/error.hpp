@@ -77,10 +77,10 @@ class Sq8TrainError : public Error {
   using Error::Error;
 };
 
-/// A mutation batch was rejected at admission by the mutable-index layer
-/// (core::IncrementalKnng, dynamic::DynamicKnng): empty batch, dimension
-/// mismatch, or an id that cannot be resolved. Rejected batches are never
-/// applied and never reach the write-ahead log.
+/// A mutation batch (or a fresh index's base) was rejected at admission by
+/// the mutable index (dynamic::DynamicKnng): empty batch, dimension mismatch,
+/// a non-finite row, or an id that cannot be resolved. Rejected batches are
+/// never applied and never reach the write-ahead log.
 class MutationError : public Error {
  public:
   using Error::Error;

@@ -150,11 +150,13 @@ std::vector<std::uint32_t> scan_nonfinite_rows(ThreadPool& pool,
   return ids;
 }
 
+namespace {
+
 /// Gives every quarantined point a best-effort row: the k lowest-id healthy
 /// points at +inf distance. The row is valid under the graph invariants
 /// (+inf entries sort by ascending id) and unambiguously marked — a consumer
 /// can tell these are placeholders, but search code that walks the graph
-/// never falls off a hole.
+/// never falls off a hole. `quarantined` must be sorted ascending.
 void fill_quarantined_rows(KnnGraph& g,
                            std::span<const std::uint32_t> quarantined) {
   const std::size_t k = g.k();
@@ -178,8 +180,6 @@ void fill_quarantined_rows(KnnGraph& g,
     }
   }
 }
-
-namespace {
 
 /// Held by a race-checked build for as long as its detector is installed.
 std::mutex g_checked_build_mutex;

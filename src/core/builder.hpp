@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -124,18 +123,11 @@ BuildResult build_knng(ThreadPool& pool, const FloatMatrix& points,
 /// for export via the registry's Prometheus/JSON formats.
 void register_build_metrics(obs::MetricsRegistry& reg, const BuildResult& r);
 
-// --- Input quarantine (shared with the incremental / dynamic layers) -------
+// --- Input hygiene (shared with the dynamic index's admission) -------------
 
 /// Finds the input rows containing a non-finite coordinate. Returns their
 /// ids, sorted ascending (parallel scan with a deterministic gather).
 std::vector<std::uint32_t> scan_nonfinite_rows(ThreadPool& pool,
                                                const FloatMatrix& points);
-
-/// Gives every quarantined point a best-effort row: the k lowest-id healthy
-/// points at +inf distance — valid under the graph invariants and
-/// unambiguously marked, so search code that walks the graph never falls off
-/// a hole. `quarantined` must be sorted ascending.
-void fill_quarantined_rows(KnnGraph& g,
-                           std::span<const std::uint32_t> quarantined);
 
 }  // namespace wknng::core

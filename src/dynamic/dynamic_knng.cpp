@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/topk.hpp"
 #include "core/builder.hpp"
-#include "core/incremental.hpp"
 #include "core/leaf_knn.hpp"
 #include "core/refine.hpp"
 #include "core/rp_forest.hpp"
@@ -39,6 +38,31 @@ FloatMatrix append_rows(const FloatMatrix& base, const FloatMatrix& extra) {
   std::memcpy(out.data() + base.size(), extra.data(),
               extra.size() * sizeof(float));
   return out;
+}
+
+/// The connect half of search-then-connect insertion: adopts `found` (the
+/// descent's k best, sorted) as `id`'s forward neighbors and pushes the
+/// reverse edge into each neighbor's set through the strategy's concurrent
+/// machinery (the edge discipline the leaf kernel uses).
+void connect_point(Warp& w, core::KnnSetArray& sets, core::Strategy strategy,
+                   std::uint32_t id, std::span<const Neighbor> found) {
+  for (const Neighbor& nb : found) {
+    sets.insert(w, strategy, id, Packed::make(nb.dist, nb.id));
+    sets.insert(w, strategy, nb.id, Packed::make(nb.dist, id));
+  }
+}
+
+/// Typed admission shared by the base and insert batches: throws
+/// MutationError naming the first row with a non-finite coordinate.
+void reject_nonfinite_rows(ThreadPool& pool, const FloatMatrix& m,
+                           const char* what) {
+  const std::vector<std::uint32_t> bad = core::scan_nonfinite_rows(pool, m);
+  if (bad.empty()) return;
+  std::ostringstream os;
+  os << what << bad.front() << " (" << bad.size() << " bad row"
+     << (bad.size() == 1 ? "" : "s")
+     << "); the dynamic index rejects rather than quarantines";
+  throw MutationError(os.str());
 }
 
 const char* op_name(data::WalRecord::Type t) {
@@ -78,11 +102,15 @@ DynamicKnng::DynamicKnng(ThreadPool& pool, const core::BuildParams& params,
                   "dynamic index does not support the compressed tier");
   WKNNG_CHECK_MSG(points_.rows() > params_.k,
                   "need more base points than k");
+  // Same admission as insert(), before anything touches `dir`: a rejected
+  // base leaves no directory, checkpoint or WAL segment behind.
+  reject_nonfinite_rows(*pool_, points_, "base: non-finite values in row ");
   std::filesystem::create_directories(dir_);
   signature_ = core::build_signature(params_, points_.rows(), dim_);
 
-  // Base build: the standard w-KNNG pipeline feeding our own set array
-  // (mirrors IncrementalKnng so the base state is the familiar one).
+  // Base build: the batch w-KNNG pipeline (core::build_knng's forest, leaf
+  // and refine phases) feeding our own set array, so the base graph equals
+  // the batch builder's.
   const core::Buckets forest =
       core::build_rp_forest(*pool_, points_, params_.num_trees,
                             params_.leaf_size, params_.seed, &acc_,
@@ -105,19 +133,7 @@ DynamicKnng::DynamicKnng(ThreadPool& pool, const core::BuildParams& params,
   ck.sets.assign(sets_.words().begin(), sets_.words().end());
   data::write_checkpoint(base_checkpoint_path(dir_), ck);
 
-  const std::size_t n0 = points_.rows();
-  external_.resize(n0);
-  intern_.reserve(n0);
-  for (std::size_t p = 0; p < n0; ++p) {
-    external_[p] = static_cast<std::uint32_t>(p);
-    intern_.emplace(static_cast<std::uint32_t>(p),
-                    static_cast<std::uint32_t>(p));
-  }
-  next_external_ = static_cast<std::uint32_t>(n0);
-  tombstone_.assign(n0, 0);
-  dirty_mark_.assign(n0, 0);
-  version_ = 1;
-  graph_ = sets_.extract(*pool_);
+  init_base_state();
 
   wal_ = std::make_unique<data::WalWriter>(dir_, signature_, 1, version_,
                                            dyn_.wal_segment_bytes);
@@ -141,19 +157,7 @@ DynamicKnng::DynamicKnng(Recover, ThreadPool& pool,
   signature_ = core::build_signature(params_, points_.rows(), dim_);
   init_base_from_checkpoint(points_);
 
-  const std::size_t n0 = points_.rows();
-  external_.resize(n0);
-  intern_.reserve(n0);
-  for (std::size_t p = 0; p < n0; ++p) {
-    external_[p] = static_cast<std::uint32_t>(p);
-    intern_.emplace(static_cast<std::uint32_t>(p),
-                    static_cast<std::uint32_t>(p));
-  }
-  next_external_ = static_cast<std::uint32_t>(n0);
-  tombstone_.assign(n0, 0);
-  dirty_mark_.assign(n0, 0);
-  version_ = 1;
-  graph_ = sets_.extract(*pool_);
+  init_base_state();
 
   data::WalReplay replay;
   {
@@ -179,6 +183,22 @@ DynamicKnng::DynamicKnng(Recover, ThreadPool& pool,
                                            version_, dyn_.wal_segment_bytes);
   std::lock_guard<std::mutex> lock(mu_);
   publish_locked();
+}
+
+void DynamicKnng::init_base_state() {
+  const std::size_t n0 = points_.rows();
+  external_.resize(n0);
+  intern_.reserve(n0);
+  for (std::size_t p = 0; p < n0; ++p) {
+    external_[p] = static_cast<std::uint32_t>(p);
+    intern_.emplace(static_cast<std::uint32_t>(p),
+                    static_cast<std::uint32_t>(p));
+  }
+  next_external_ = static_cast<std::uint32_t>(n0);
+  tombstone_.assign(n0, 0);
+  dirty_mark_.assign(n0, 0);
+  version_ = 1;
+  graph_ = sets_.extract(*pool_);
 }
 
 void DynamicKnng::init_base_from_checkpoint(const FloatMatrix& base_points) {
@@ -214,14 +234,8 @@ std::vector<std::uint32_t> DynamicKnng::insert(const FloatMatrix& rows) {
     os << "insert: batch dim " << rows.cols() << " != index dim " << dim_;
     throw MutationError(os.str());
   }
-  const std::vector<std::uint32_t> bad = core::scan_nonfinite_rows(*pool_, rows);
-  if (!bad.empty()) {
-    std::ostringstream os;
-    os << "insert: non-finite values in batch row " << bad.front() << " ("
-       << bad.size() << " bad row" << (bad.size() == 1 ? "" : "s")
-       << "); the dynamic index rejects rather than quarantines";
-    throw MutationError(os.str());
-  }
+  reject_nonfinite_rows(*pool_, rows,
+                        "insert: non-finite values in batch row ");
 
   std::lock_guard<std::mutex> lock(mu_);
   obs::Span span = op_span(data::WalRecord::Type::kInsert, version_ + 1);
@@ -331,8 +345,8 @@ void DynamicKnng::apply_insert(const FloatMatrix& rows,
       tombstone_);
 
   // Phase 2: grow storage, then connect — forward edges into the new rows,
-  // reverse edges into the found neighbors, through the same strategy-
-  // dispatched edge discipline the incremental builder uses.
+  // reverse edges into the found neighbors, through the strategy-dispatched
+  // k-set updates the leaf kernel uses.
   points_ = append_rows(points_, rows);
   sets_.grow(points_.rows());
   tombstone_.resize(points_.rows(), 0);
@@ -353,7 +367,7 @@ void DynamicKnng::apply_insert(const FloatMatrix& rows,
     const auto id = static_cast<std::uint32_t>(old_n + w.id());
     const auto row = found.results.row(w.id());
     const std::size_t cnt = found.results.row_size(w.id());
-    core::connect_point(w, sets_, strategy, id, row.subspan(0, cnt));
+    connect_point(w, sets_, strategy, id, row.subspan(0, cnt));
   });
 
   // Dirty marking happens host-side after the launch so the dirty list's

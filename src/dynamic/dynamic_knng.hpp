@@ -79,8 +79,9 @@ struct DynamicState {
 };
 
 /// The mutable K-NNG: owns the full dynamic lifecycle on top of the static
-/// substrate — online inserts (search-then-connect through the shared
-/// core::connect_point edge discipline), tombstone deletes (invisible to
+/// substrate — online inserts (search-then-connect: a core::graph_search_batch
+/// descent of the last published graph, then forward and reverse edges
+/// through the strategy's k-set updates), tombstone deletes (invisible to
 /// results immediately via the search kernel's exclusion mask, excluded from
 /// candidate expansion lazily by repair/compaction), bounded dirty-region
 /// NN-Descent repair, threshold-triggered compaction with a stable
@@ -101,10 +102,13 @@ struct DynamicState {
 class DynamicKnng {
  public:
   /// Fresh index: builds the base graph over `base_points` with `params`
-  /// (the IncrementalKnng pipeline: RP forest -> leaf pass -> refine rounds),
-  /// writes the WKNNGCP1 base checkpoint to `<dir>/base.ckpt`, opens WAL
-  /// segment 1, and publishes version 1. `dir` must be writable; the
-  /// compression tier is not supported (`params.compression` must be kNone).
+  /// (core::build_knng's pipeline: RP forest -> leaf pass -> refine rounds,
+  /// the same neighbor ids and distances), writes the WKNNGCP1 base
+  /// checkpoint to `<dir>/base.ckpt`, opens WAL segment 1, and publishes
+  /// version 1. `dir` must be writable; the compression tier is not
+  /// supported (`params.compression` must be kNone). A base row with a
+  /// non-finite coordinate throws wknng::MutationError before `dir` is
+  /// touched, the admission insert() applies to batches.
   DynamicKnng(ThreadPool& pool, const core::BuildParams& params,
               FloatMatrix base_points, std::string dir,
               DynamicParams dyn = DynamicParams{});
@@ -178,6 +182,9 @@ class DynamicKnng {
 
  private:
   void init_base_from_checkpoint(const FloatMatrix& base_points);
+  /// The version-1 state shared by both constructors once sets_ holds the
+  /// base graph: identity id maps, no tombstones or dirty rows, graph_.
+  void init_base_state();
   void publish_locked();
   void maintain_locked();
 

@@ -110,7 +110,7 @@ struct KernelOps {
   // --- SQ8 asymmetric rows (kernels/sq8.hpp) -------------------------------
   // fp32 query (prepared once with sq8_prepare) against u8 code rows. The
   // scalar backend evaluates the direct dequantize-subtract form serially
-  // (bit-identical to the pre-dispatch ivf::sq8_l2_sq) and ignores term
+  // (bit-identical to sq8_l2_sq_ref) and ignores term
   // caches; the SIMD backends use the expanded self - 2*dot(w,c) + term(c)
   // decomposition from one shared u8-widening dot core, so — exactly like
   // the fp32 rows — the same (query, code row) pair yields the same bits

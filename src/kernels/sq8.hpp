@@ -22,7 +22,7 @@
 //
 // computed once per query by sq8_prepare(); the scalar backend is the
 // strict reference and evaluates the direct dequantize-subtract form
-// serially (bit-identical to the pre-dispatch ivf::sq8_l2_sq). See
+// serially (bit-identical to sq8_l2_sq_ref below). See
 // kernels.hpp for the per-backend bit-reproducibility contract.
 
 #include <cstddef>
@@ -93,8 +93,8 @@ Sq8Matrix sq8_encode(const FloatMatrix& points);
 FloatMatrix sq8_decode(const Sq8Matrix& m);
 
 /// Serial reference for the asymmetric squared L2 (float query against one
-/// dequantized code row) — the pre-dispatch ivf::sq8_l2_sq accumulation,
-/// and the function the scalar backend's sq8 rows replicate bit-exactly.
+/// dequantized code row): the IVF-SQ8 scan's distance, and the function the
+/// scalar backend's sq8 rows replicate bit-exactly.
 float sq8_l2_sq_ref(std::span<const float> query,
                     std::span<const std::uint8_t> code,
                     const Sq8Codebook& codebook);

@@ -1,6 +1,6 @@
 // Scalar SQ8 rows — the strict reference. Every shape evaluates the direct
-// dequantize-subtract form with one serial accumulator, bit-identical to the
-// pre-dispatch ivf::sq8_l2_sq, and term caches are deliberately ignored:
+// dequantize-subtract form with one serial accumulator, bit-identical to
+// sq8_l2_sq_ref, and term caches are deliberately ignored:
 // the expanded decomposition reassociates the arithmetic, and strictness
 // means "the original bits" (same policy as the fp32 scalar backend and its
 // norm caches).

@@ -89,10 +89,11 @@ struct ServeOptions {
 /// use the pool's multi-job scheduling, the substrate's analogue of
 /// concurrent kernels on one device.
 ///
-/// Snapshots: `publish` atomically swaps the graph (std::shared_ptr store);
-/// in-flight batches finish on the snapshot they pinned, new batches see the
-/// new one. `core::IncrementalKnng` can therefore insert and publish while
-/// the engine serves (tests/serve/test_snapshot_swap.cpp).
+/// Snapshots: `publish` swaps the graph (one shared_ptr exchange in the
+/// SnapshotSlot); in-flight batches finish on the snapshot they pinned, new
+/// batches see the new one. `dynamic::DynamicKnng` can therefore insert and
+/// publish (through its on_publish hook) while the engine serves
+/// (tests/serve/test_snapshot_swap.cpp).
 ///
 /// Deadlines: a request whose deadline passes before dispatch is answered
 /// with a typed timeout result (DeadlineExceededError vocabulary) and never
@@ -126,7 +127,7 @@ class ServeEngine {
   std::future<QueryResult> submit(std::vector<float> query,
                                   std::uint64_t deadline_us = 0);
 
-  /// Atomically swaps the served snapshot (never null), after building its
+  /// Swaps the served snapshot (never null), after building its
   /// layout (with `optimize`) and warming its search cache.
   void publish(std::shared_ptr<const GraphSnapshot> next);
   std::shared_ptr<const GraphSnapshot> snapshot() const {

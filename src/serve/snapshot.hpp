@@ -1,8 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,7 +21,7 @@ class ThreadPool;
 namespace wknng::serve {
 
 /// One immutable (base points, K-NN graph) pair served to queries. Builders
-/// (core::build_knng, core::IncrementalKnng) construct a snapshot off to the
+/// (core::build_knng, dynamic::DynamicKnng) construct a snapshot off to the
 /// side and publish it whole; the serving path never sees a half-updated
 /// graph. `version` is the publisher's monotonic label — responses carry it
 /// so a client (or a test) can say exactly which graph answered them.
@@ -130,13 +130,16 @@ struct GraphSnapshot {
   }
 };
 
-/// The single-slot atomic publication point between one writer (the build /
-/// incremental-insert side) and many readers (batch executors). Readers pin
-/// the current snapshot with a shared_ptr copy; a publish is one atomic
-/// store, after which new batches run on the new graph while in-flight
-/// batches finish on the old one — it stays alive until its last reader
-/// drops it. No locks, no reader/writer ordering requirements beyond the
-/// store/load pair.
+/// The single-slot publication point between one writer (the build / insert
+/// side) and many readers (batch executors). Readers pin the current
+/// snapshot with a shared_ptr copy (once per submit and once per batch); a
+/// publish swaps the pointer, after which new batches run on the new graph
+/// while in-flight batches finish on the old one — it stays alive until its
+/// last reader drops it. The pointer sits under a mutex held only for the
+/// copy or the swap, not std::atomic<std::shared_ptr>: libstdc++ guards that
+/// with a lock bit ThreadSanitizer does not model, so the serving path could
+/// not be race-checked. The replaced snapshot is released after the lock is
+/// dropped, so a writer never frees a graph inside the critical section.
 class SnapshotSlot {
  public:
   SnapshotSlot() = default;
@@ -147,15 +150,22 @@ class SnapshotSlot {
   SnapshotSlot& operator=(const SnapshotSlot&) = delete;
 
   std::shared_ptr<const GraphSnapshot> current() const {
-    return slot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return slot_;
   }
 
   void publish(std::shared_ptr<const GraphSnapshot> next) {
-    slot_.store(std::move(next), std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slot_.swap(next);
+    }
+    // `next` now holds the previous snapshot; it is dropped here, outside
+    // the lock.
   }
 
  private:
-  std::atomic<std::shared_ptr<const GraphSnapshot>> slot_;
+  mutable std::mutex mu_;
+  std::shared_ptr<const GraphSnapshot> slot_;
 };
 
 /// Convenience: snapshot the current state of an already-built graph.

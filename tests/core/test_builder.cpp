@@ -130,5 +130,12 @@ TEST(Builder, StrategyNamesRoundTrip) {
   EXPECT_THROW(strategy_from_name("bogus"), Error);
 }
 
+TEST(Builder, RecommendedStrategyFollowsDimensions) {
+  EXPECT_EQ(recommended_strategy(4), Strategy::kAtomic);
+  EXPECT_EQ(recommended_strategy(16), Strategy::kAtomic);
+  EXPECT_EQ(recommended_strategy(64), Strategy::kTiled);
+  EXPECT_EQ(recommended_strategy(960), Strategy::kTiled);
+}
+
 }  // namespace
 }  // namespace wknng::core

@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/builder.hpp"
 #include "core/graph_search.hpp"
 #include "data/synthetic.hpp"
 #include "data/wal.hpp"
@@ -119,17 +120,8 @@ TEST(DynamicKnng, FreshBuildPublishesVersionOneAndCheckpoint) {
 
 TEST(DynamicKnng, InsertAssignsIdsAndConnectsWell) {
   ThreadPool pool(4);
-  const auto dir = testing::unique_test_dir("dyn_insert");
   const FloatMatrix base = base_300();
-  DynamicKnng dyn(pool, small_params(), base, dir.string(), manual());
-
   const FloatMatrix batch = batch_near(base, 40, 77);
-  const std::vector<std::uint32_t> ids = dyn.insert(batch);
-  ASSERT_EQ(ids.size(), 40u);
-  EXPECT_EQ(ids.front(), 300u);
-  EXPECT_EQ(ids.back(), 339u);
-  EXPECT_EQ(dyn.version(), 2u);
-  for (const std::uint32_t id : ids) EXPECT_TRUE(dyn.contains(id));
 
   // Inserted rows must land near their true neighbors in the combined set.
   FloatMatrix all(340, base.cols());
@@ -141,15 +133,34 @@ TEST(DynamicKnng, InsertAssignsIdsAndConnectsWell) {
               all.row(300 + i).begin());
   }
   const KnnGraph truth = exact::brute_force_knng(pool, all, 6);
-  const auto snap = dyn.snapshot();
-  ASSERT_EQ(snap->graph.num_points(), 340u);
-  double recall = 0.0;
-  for (std::size_t p = 300; p < 340; ++p) {
-    recall += exact::row_recall(snap->graph.row(p), truth.row(p));
+
+  // Every k-set strategy's connect step (forward and reverse edges).
+  for (const core::Strategy strategy :
+       {core::Strategy::kBasic, core::Strategy::kAtomic,
+        core::Strategy::kTiled}) {
+    SCOPED_TRACE(core::strategy_name(strategy));
+    const auto dir = testing::unique_test_dir("dyn_insert");
+    core::BuildParams bp = small_params();
+    bp.strategy = strategy;
+    DynamicKnng dyn(pool, bp, base, dir.string(), manual());
+
+    const std::vector<std::uint32_t> ids = dyn.insert(batch);
+    ASSERT_EQ(ids.size(), 40u);
+    EXPECT_EQ(ids.front(), 300u);
+    EXPECT_EQ(ids.back(), 339u);
+    EXPECT_EQ(dyn.version(), 2u);
+    for (const std::uint32_t id : ids) EXPECT_TRUE(dyn.contains(id));
+
+    const auto snap = dyn.snapshot();
+    ASSERT_EQ(snap->graph.num_points(), 340u);
+    double recall = 0.0;
+    for (std::size_t p = 300; p < 340; ++p) {
+      recall += exact::row_recall(snap->graph.row(p), truth.row(p));
+    }
+    EXPECT_GT(recall / 40.0, 0.6);
+    EXPECT_TRUE(snap->graph.check_invariants());
+    fs::remove_all(dir);
   }
-  EXPECT_GT(recall / 40.0, 0.6);
-  EXPECT_TRUE(snap->graph.check_invariants());
-  fs::remove_all(dir);
 }
 
 TEST(DynamicKnng, InsertAdmissionIsTypedAndAtomic) {
@@ -172,6 +183,25 @@ TEST(DynamicKnng, InsertAdmissionIsTypedAndAtomic) {
   EXPECT_EQ(dyn.state().total_rows, 300u);
   EXPECT_EQ(dyn.metrics().wal_records.value(), 0u);
   fs::remove_all(dir);
+}
+
+TEST(DynamicKnng, NonFiniteBaseRowsAreRejectedBeforeAnyFileIsWritten) {
+  ThreadPool pool(2);
+  const auto parent = testing::unique_test_dir("dyn_nonfinite");
+  const fs::path dir = parent / "index";
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    FloatMatrix base = base_300();
+    base.row(5)[3] = bad;
+    EXPECT_THROW(
+        DynamicKnng(pool, small_params(), base, dir.string(), manual()),
+        MutationError);
+    // Rejected before the directory is made: no checkpoint, no segment.
+    EXPECT_FALSE(fs::exists(DynamicKnng::base_checkpoint_path(dir.string())));
+    EXPECT_FALSE(fs::exists(data::wal_segment_path(dir.string(), 1)));
+    EXPECT_FALSE(fs::exists(dir));
+  }
+  fs::remove_all(parent);
 }
 
 TEST(DynamicKnng, DeletesAreImmediatelyInvisibleToSearch) {
@@ -431,6 +461,175 @@ TEST(DynamicKnng, MetricsTrackTheLifecycle) {
   EXPECT_EQ(m.wal_records.value(), 3u);
   EXPECT_GT(m.wal_bytes.value(), 0u);
   EXPECT_EQ(m.version.value(), 4);
+  fs::remove_all(dir);
+}
+
+
+// --- Incremental insertion, per k-set strategy ------------------------------
+// Growing a batch-built graph: the base equals core::build_knng's, inserted
+// rows find good neighbors and hand reverse edges to existing rows, and
+// admission failures leave the index as it was.
+
+/// Rows [begin, end) of `m`.
+FloatMatrix rows_of(const FloatMatrix& m, std::size_t begin, std::size_t end) {
+  FloatMatrix out(end - begin, m.cols());
+  for (std::size_t i = begin; i < end; ++i) {
+    std::copy(m.row(i).begin(), m.row(i).end(), out.row(i - begin).begin());
+  }
+  return out;
+}
+
+/// Mean recall of graph rows [begin, end) against exact ground truth.
+double rows_recall(const KnnGraph& g, const KnnGraph& truth, std::size_t begin,
+                   std::size_t end) {
+  double sum = 0.0;
+  for (std::size_t p = begin; p < end; ++p) {
+    sum += exact::row_recall(g.row(p), truth.row(p));
+  }
+  return sum / static_cast<double>(end - begin);
+}
+
+class IncrementalTest : public ::testing::TestWithParam<core::Strategy> {
+ protected:
+  core::BuildParams params(std::size_t k) const {
+    core::BuildParams bp;
+    bp.k = k;
+    bp.strategy = GetParam();
+    return bp;
+  }
+  const fs::path dir_ = testing::unique_test_dir("dyn_incremental");
+  ~IncrementalTest() override { fs::remove_all(dir_); }
+};
+
+TEST_P(IncrementalTest, InitialBuildMatchesBatchBuilder) {
+  ThreadPool pool(2);
+  const FloatMatrix pts = data::make_clusters(400, 10, 8, 0.1f, 3);
+  core::BuildParams bp = params(6);
+  bp.refine_iters = 1;
+
+  DynamicKnng dyn(pool, bp, pts, dir_.string(), manual());
+  const auto snap = dyn.snapshot();
+  const KnnGraph& a = snap->graph;
+  const KnnGraph b = core::build_knng(pool, pts, bp).graph;
+  // Same pipeline, same seed: the same neighbors at the same distances.
+  ASSERT_EQ(a.num_points(), b.num_points());
+  for (std::size_t p = 0; p < a.num_points(); ++p) {
+    ASSERT_EQ(a.row_size(p), b.row_size(p)) << "row " << p;
+    for (std::size_t j = 0; j < a.row_size(p); ++j) {
+      ASSERT_EQ(a.row(p)[j].id, b.row(p)[j].id) << "row " << p << " slot " << j;
+      ASSERT_EQ(a.row(p)[j].dist, b.row(p)[j].dist)
+          << "row " << p << " slot " << j;
+    }
+  }
+}
+
+TEST_P(IncrementalTest, InsertedPointsGetGoodNeighbors) {
+  ThreadPool pool(2);
+  const FloatMatrix all = data::make_clusters(600, 12, 8, 0.1f, 7);
+  core::BuildParams bp = params(8);
+  bp.refine_iters = 1;
+  DynamicKnng dyn(pool, bp, rows_of(all, 0, 500), dir_.string(), manual());
+  dyn.insert(rows_of(all, 500, 600));
+  ASSERT_EQ(dyn.state().total_rows, 600u);
+
+  const auto snap = dyn.snapshot();
+  const KnnGraph& g = snap->graph;
+  EXPECT_TRUE(g.check_invariants());
+  const KnnGraph truth = exact::brute_force_knng(pool, all, 8);
+  EXPECT_GT(rows_recall(g, truth, 500, 600), 0.75);
+}
+
+TEST_P(IncrementalTest, ExistingPointsLearnReverseEdges) {
+  ThreadPool pool(2);
+  const FloatMatrix all = data::make_clusters(300, 8, 4, 0.05f, 11);
+  DynamicKnng dyn(pool, params(5), rows_of(all, 0, 250), dir_.string(),
+                  manual());
+  dyn.insert(rows_of(all, 250, 300));
+  const auto snap = dyn.snapshot();
+  const KnnGraph& g = snap->graph;
+
+  // Some pre-existing point must now list a new point (id >= 250) among its
+  // neighbors — the reverse-edge push is what keeps the graph searchable.
+  bool any_reverse = false;
+  for (std::size_t p = 0; p < 250 && !any_reverse; ++p) {
+    for (const Neighbor& nb : g.row(p)) {
+      if (nb.id == KnnGraph::kInvalid) break;
+      any_reverse |= nb.id >= 250;
+    }
+  }
+  EXPECT_TRUE(any_reverse);
+}
+
+TEST_P(IncrementalTest, MultipleBatchesKeepInvariants) {
+  ThreadPool pool(2);
+  const FloatMatrix all = data::make_uniform(400, 6, 13);
+  DynamicKnng dyn(pool, params(5), rows_of(all, 0, 200), dir_.string(),
+                  manual());
+  for (std::size_t b = 0; b < 4; ++b) {
+    dyn.insert(rows_of(all, 200 + 50 * b, 250 + 50 * b));
+    ASSERT_TRUE(dyn.snapshot()->graph.check_invariants()) << "batch " << b;
+  }
+  EXPECT_EQ(dyn.state().total_rows, 400u);
+}
+
+TEST_P(IncrementalTest, RefineImprovesInsertedRecall) {
+  ThreadPool pool(2);
+  const FloatMatrix all = data::make_clusters(500, 16, 8, 0.12f, 17);
+  core::BuildParams bp = params(8);
+  bp.refine_iters = 0;
+  DynamicKnng dyn(pool, bp, rows_of(all, 0, 400), dir_.string(), manual());
+  dyn.insert(rows_of(all, 400, 500));
+
+  // repair() runs NN-Descent rounds over the dirty rows, which include every
+  // inserted row; k-sets only take closer candidates, so recall cannot drop.
+  const KnnGraph truth = exact::brute_force_knng(pool, all, 8);
+  const double before = rows_recall(dyn.snapshot()->graph, truth, 400, 500);
+  EXPECT_GT(dyn.repair(), 0u);
+  const double after = rows_recall(dyn.snapshot()->graph, truth, 400, 500);
+  EXPECT_GE(after + 1e-9, before);
+}
+
+TEST_P(IncrementalTest, EmptyBatchThrowsTypedError) {
+  ThreadPool pool(1);
+  DynamicKnng dyn(pool, params(4), data::make_uniform(100, 4, 19),
+                  dir_.string(), manual());
+  EXPECT_THROW(dyn.insert(FloatMatrix(0, 4)), MutationError);
+  EXPECT_EQ(dyn.state().total_rows, 100u);  // rejected batches never mutate
+  EXPECT_EQ(dyn.version(), 1u);
+}
+
+TEST_P(IncrementalTest, DimensionMismatchThrowsTypedError) {
+  ThreadPool pool(1);
+  DynamicKnng dyn(pool, params(4), data::make_uniform(100, 4, 19),
+                  dir_.string(), manual());
+  EXPECT_THROW(dyn.insert(data::make_uniform(10, 6, 21)), MutationError);
+  EXPECT_EQ(dyn.state().total_rows, 100u);
+  EXPECT_EQ(dyn.version(), 1u);
+  EXPECT_TRUE(dyn.snapshot()->graph.check_invariants());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, IncrementalTest,
+                         ::testing::Values(core::Strategy::kBasic,
+                                           core::Strategy::kAtomic,
+                                           core::Strategy::kTiled),
+                         [](const auto& info) {
+                           return core::strategy_name(info.param);
+                         });
+
+TEST(Incremental, StatsAccumulateAcrossBatches) {
+  ThreadPool pool(2);
+  const auto dir = testing::unique_test_dir("dyn_stats");
+  const FloatMatrix all = data::make_uniform(300, 6, 23);
+  core::BuildParams bp;
+  bp.k = 5;
+  DynamicKnng dyn(pool, bp, rows_of(all, 0, 200), dir.string(), manual());
+  const auto before = dyn.stats().distance_evals;
+  EXPECT_GT(before, 0u);
+  dyn.insert(rows_of(all, 200, 250));
+  const auto after_one = dyn.stats().distance_evals;
+  EXPECT_GT(after_one, before);
+  dyn.insert(rows_of(all, 250, 300));
+  EXPECT_GT(dyn.stats().distance_evals, after_one);
   fs::remove_all(dir);
 }
 
